@@ -319,7 +319,7 @@ Outcome RunFlapWithReaperDaemon() {
       kernel::SpawnOptions{});
 
   for (const int32_t pid : victims) {
-    const int rc = MigrateOne(world, net, pid, "brick", "schooner");
+    MigrateOne(world, net, pid, "brick", "schooner");
   }
   world.RunUntilExited("brick", reaper, sim::Seconds(600));
   world.cluster().faults().Disarm();

@@ -1,13 +1,13 @@
 #!/bin/sh
-# The full verification pipeline, one command: tier-1 build + ctest, the ASan
-# and UBSan builds + ctest, and the fig4 phase-drift gate. Run from the
-# repository root.
+# The full verification pipeline, one command: tier-1 build (warnings are
+# errors) + ctest, the ASan and UBSan builds + ctest, and the fig4 phase-drift
+# gate. Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 echo "== tier-1 build =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j
 
 echo "== tier-1 ctest =="

@@ -4,7 +4,6 @@
 #include "src/core/tools.h"
 #include "src/sim/bytes.h"
 #include "src/sim/hash.h"
-#include "src/vm/abi.h"
 
 namespace pmig::apps {
 
@@ -13,7 +12,6 @@ namespace {
 using core::DumpPaths;
 using core::FilesEntry;
 using core::FilesFile;
-using vm::abi::OpenFlags;
 
 constexpr uint32_t kMetaMagic = 0777;    // v1: per-slot saved bit only
 constexpr uint32_t kMetaMagicV2 = 0776;  // v2: per-slot {state, hash, source}
@@ -28,29 +26,10 @@ struct SlotRecord {
 };
 using SlotArray = std::array<SlotRecord, kernel::kNoFile>;
 
-Result<std::string> ReadWholeFile(kernel::SyscallApi& api, const std::string& path) {
-  PMIG_TRY(int fd, api.Open(path, OpenFlags::kORdOnly));
-  const Result<std::string> bytes = api.ReadAll(fd);
-  const Status closed = api.Close(fd);
-  (void)closed;
-  if (!bytes.ok()) return bytes.error();
-  return *bytes;
-}
-
-Status WriteWholeFile(kernel::SyscallApi& api, const std::string& path,
-                      const std::string& contents, uint16_t mode = 0600) {
-  PMIG_TRY(int fd, api.Creat(path, mode));
-  const Result<int64_t> n = api.Write(fd, contents);
-  const Status closed = api.Close(fd);
-  (void)closed;
-  if (!n.ok()) return n.error();
-  return Status::Ok();
-}
-
 Status CopyFile(kernel::SyscallApi& api, const std::string& src, const std::string& dst,
                 uint16_t mode = 0600) {
-  PMIG_TRY(std::string bytes, ReadWholeFile(api, src));
-  return WriteWholeFile(api, dst, bytes, mode);
+  PMIG_TRY(std::string bytes, api.ReadFile(src));
+  return api.WriteFile(dst, bytes, mode);
 }
 
 std::string CkptName(const std::string& dir, int index, const std::string& what) {
@@ -61,8 +40,9 @@ std::string CkptName(const std::string& dir, int index, const std::string& what)
 // slot; v2 (0776) records content hashes and where each copy actually lives.
 Result<SlotArray> LoadMeta(kernel::SyscallApi& api, const std::string& dir, int index,
                            int32_t* pid_out) {
-  PMIG_TRY(std::string meta_bytes, ReadWholeFile(api, CkptName(dir, index, "meta")));
-  sim::ByteReader meta(meta_bytes);
+  const Result<std::string> meta_bytes = api.ReadFile(CkptName(dir, index, "meta"));
+  if (!meta_bytes.ok()) return meta_bytes.error();
+  sim::ByteReader meta(*meta_bytes);
   const uint32_t magic = meta.U32();
   if (magic != kMetaMagic && magic != kMetaMagicV2) return Errno::kNoExec;
   const int32_t pid = meta.I32();
@@ -83,30 +63,14 @@ Result<SlotArray> LoadMeta(kernel::SyscallApi& api, const std::string& dir, int 
   return slots;
 }
 
-// Archives the content-addressed segment blobs an incremental dump references
-// (its text, and its delta base) from /var/segcache into <dir>/seg.<hex>, so the
-// checkpoint directory can be restored even after the cache is purged. Blobs are
-// immutable and shared across checkpoints, so an existing copy is kept as-is.
-Status ArchiveSegments(kernel::SyscallApi& api, const std::string& aout_bytes,
-                       const std::string& dir) {
-  if (!core::IsIncrAout(aout_bytes)) return Status::Ok();
-  PMIG_TRY(core::IncrAout incr, core::IncrAout::Parse(aout_bytes));
-  std::vector<uint64_t> digests = {incr.text_digest};
-  if (incr.encoding == core::IncrAout::DataEncoding::kDelta) {
-    digests.push_back(incr.base_digest);
-  }
-  for (uint64_t digest : digests) {
-    const std::string dst = dir + "/seg." + sim::HexDigest(digest);
-    if (api.Stat(dst).ok()) continue;
-    PMIG_RETURN_IF_ERROR(CopyFile(api, core::SegCachePath(digest), dst));
-  }
-  return Status::Ok();
-}
-
-// The inverse: puts archived segment blobs back into /var/segcache so restart can
-// reconstruct the incremental dump. Blobs already cached locally are left alone.
-Status RestoreSegments(kernel::SyscallApi& api, const std::string& aout_bytes,
-                       const std::string& dir) {
+// Copies the content-addressed segment blobs an incremental dump references
+// (its text, and its delta base) between /var/segcache and <dir>/seg.<hex>:
+// `archive` copies them into the checkpoint directory, so it can be restored
+// even after the cache is purged; otherwise they go back into the cache so
+// restart can reconstruct the dump. Blobs are immutable and shared across
+// checkpoints, so a copy already at the destination is kept as-is.
+Status CopySegments(kernel::SyscallApi& api, const std::string& aout_bytes,
+                    const std::string& dir, bool archive) {
   if (!core::IsIncrAout(aout_bytes)) return Status::Ok();
   PMIG_TRY(core::IncrAout incr, core::IncrAout::Parse(aout_bytes));
   std::vector<uint64_t> digests = {incr.text_digest};
@@ -115,8 +79,11 @@ Status RestoreSegments(kernel::SyscallApi& api, const std::string& aout_bytes,
   }
   for (uint64_t digest : digests) {
     const std::string cached = core::SegCachePath(digest);
-    if (api.Stat(cached).ok()) continue;
-    PMIG_RETURN_IF_ERROR(CopyFile(api, dir + "/seg." + sim::HexDigest(digest), cached, 0644));
+    const std::string archived = dir + "/seg." + sim::HexDigest(digest);
+    const std::string& dst = archive ? archived : cached;
+    if (api.Stat(dst).ok()) continue;
+    PMIG_RETURN_IF_ERROR(archive ? CopyFile(api, cached, archived)
+                                 : CopyFile(api, archived, cached, 0644));
   }
   return Status::Ok();
 }
@@ -139,14 +106,11 @@ Result<CheckpointResult> TakeCheckpoint(kernel::SyscallApi& api, int32_t pid,
                                         bool incremental) {
   // Checkpointing runs under a distributed trace too: the checkpointer mints
   // an id on its first checkpoint and every dump span joins it.
-  kernel::Proc& self = api.proc();
-  if (self.trace_id == 0 && api.kernel().spans() != nullptr) {
-    self.trace_id = api.kernel().spans()->MintTraceId();
-  }
+  core::EnsureTraceId(api);
   if (core::Dumpproc(api, pid, /*tx=*/false, incremental) != 0) return Errno::kSrch;
   const DumpPaths paths = DumpPaths::For(pid);
 
-  PMIG_TRY(std::string files_bytes, ReadWholeFile(api, paths.files));
+  PMIG_TRY(std::string files_bytes, api.ReadFile(paths.files));
   PMIG_TRY(FilesFile files, FilesFile::Parse(files_bytes));
 
   // The previous checkpoint's manifest, if any: open files whose content has not
@@ -166,7 +130,7 @@ Result<CheckpointResult> TakeCheckpoint(kernel::SyscallApi& api, int32_t pid,
     if (entry.kind != FilesEntry::Kind::kFile) continue;
     const Result<kernel::StatInfo> info = api.Stat(entry.path);
     if (!info.ok() || info->type != vfs::InodeType::kRegular) continue;
-    const Result<std::string> bytes = ReadWholeFile(api, entry.path);
+    const Result<std::string> bytes = api.ReadFile(entry.path);
     if (!bytes.ok()) continue;
     const uint64_t hash = sim::HashBytes(*bytes);
     SlotRecord& rec = slots[static_cast<size_t>(i)];
@@ -176,25 +140,25 @@ Result<CheckpointResult> TakeCheckpoint(kernel::SyscallApi& api, int32_t pid,
       // restore-time digest cannot catch a collision either (colliding contents
       // hash alike by definition). Confirm against the prior copy's bytes.
       const Result<std::string> prior =
-          ReadWholeFile(api, CkptName(dir, was.source, "open" + std::to_string(i)));
+          api.ReadFile(CkptName(dir, was.source, "open" + std::to_string(i)));
       if (prior.ok() && *prior == *bytes) {
         rec = {2, hash, was.source};
         continue;
       }
     }
-    if (WriteWholeFile(api, CkptName(dir, index, "open" + std::to_string(i)), *bytes).ok()) {
+    if (api.WriteFile(CkptName(dir, index, "open" + std::to_string(i)), *bytes, 0600).ok()) {
       rec = {1, hash, index};
     }
   }
 
   // Move the three dump files into the managed directory (as copies, since the
   // staged originals are still needed to restart the process right away).
-  PMIG_RETURN_IF_ERROR(WriteWholeFile(api, CkptName(dir, index, "files"), files_bytes));
-  PMIG_TRY(std::string aout_bytes, ReadWholeFile(api, paths.aout));
-  PMIG_RETURN_IF_ERROR(WriteWholeFile(api, CkptName(dir, index, "aout"), aout_bytes));
-  PMIG_TRY(std::string stack_bytes, ReadWholeFile(api, paths.stack));
-  PMIG_RETURN_IF_ERROR(WriteWholeFile(api, CkptName(dir, index, "stack"), stack_bytes));
-  PMIG_RETURN_IF_ERROR(ArchiveSegments(api, aout_bytes, dir));
+  PMIG_RETURN_IF_ERROR(api.WriteFile(CkptName(dir, index, "files"), files_bytes, 0600));
+  PMIG_TRY(std::string aout_bytes, api.ReadFile(paths.aout));
+  PMIG_RETURN_IF_ERROR(api.WriteFile(CkptName(dir, index, "aout"), aout_bytes, 0600));
+  PMIG_TRY(std::string stack_bytes, api.ReadFile(paths.stack));
+  PMIG_RETURN_IF_ERROR(api.WriteFile(CkptName(dir, index, "stack"), stack_bytes, 0600));
+  PMIG_RETURN_IF_ERROR(CopySegments(api, aout_bytes, dir, /*archive=*/true));
 
   sim::ByteWriter meta;
   meta.U32(kMetaMagicV2);
@@ -205,7 +169,7 @@ Result<CheckpointResult> TakeCheckpoint(kernel::SyscallApi& api, int32_t pid,
     meta.U64(rec.hash);
     meta.I32(rec.source);
   }
-  PMIG_RETURN_IF_ERROR(WriteWholeFile(api, CkptName(dir, index, "meta"), meta.Take()));
+  PMIG_RETURN_IF_ERROR(api.WriteFile(CkptName(dir, index, "meta"), meta.Take(), 0600));
 
   // The snapshot killed the process; bring it back on this machine.
   PMIG_TRY(int32_t new_pid, RestartStagedDump(api, pid));
@@ -224,7 +188,7 @@ Result<int32_t> RestoreCheckpoint(kernel::SyscallApi& api, const std::string& di
   int32_t pid = 0;
   PMIG_TRY(SlotArray slots, LoadMeta(api, dir, index, &pid));
 
-  PMIG_TRY(std::string files_bytes, ReadWholeFile(api, CkptName(dir, index, "files")));
+  PMIG_TRY(std::string files_bytes, api.ReadFile(CkptName(dir, index, "files")));
   PMIG_TRY(FilesFile files, FilesFile::Parse(files_bytes));
 
   // Put the saved open-file copies back so the restored program sees the file
@@ -243,10 +207,10 @@ Result<int32_t> RestoreCheckpoint(kernel::SyscallApi& api, const std::string& di
   // rest_proc() reads them. An incremental dump's segment blobs go back into
   // /var/segcache first so rest_proc() can reconstruct the image.
   const DumpPaths paths = DumpPaths::For(pid);
-  PMIG_TRY(std::string aout_bytes, ReadWholeFile(api, CkptName(dir, index, "aout")));
-  PMIG_RETURN_IF_ERROR(RestoreSegments(api, aout_bytes, dir));
-  PMIG_RETURN_IF_ERROR(WriteWholeFile(api, paths.aout, aout_bytes, 0644));
-  PMIG_RETURN_IF_ERROR(WriteWholeFile(api, paths.files, files_bytes, 0644));
+  PMIG_TRY(std::string aout_bytes, api.ReadFile(CkptName(dir, index, "aout")));
+  PMIG_RETURN_IF_ERROR(CopySegments(api, aout_bytes, dir, /*archive=*/false));
+  PMIG_RETURN_IF_ERROR(api.WriteFile(paths.aout, aout_bytes, 0644));
+  PMIG_RETURN_IF_ERROR(api.WriteFile(paths.files, files_bytes, 0644));
   PMIG_RETURN_IF_ERROR(CopyFile(api, CkptName(dir, index, "stack"), paths.stack, 0644));
   return RestartStagedDump(api, pid);
 }

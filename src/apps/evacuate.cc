@@ -1,26 +1,9 @@
 #include "src/apps/evacuate.h"
 
-#include "src/apps/cluster_index.h"
-#include "src/apps/decision_log.h"
-#include "src/apps/recovery.h"
+#include "src/apps/coordinator.h"
 #include "src/core/tools.h"
 
 namespace pmig::apps {
-
-namespace {
-
-// The Section 7 eligibility rules, same as the load balancer's.
-bool Movable(kernel::Kernel& host, const kernel::Proc& p) {
-  for (const kernel::OpenFilePtr& f : p.fds) {
-    if (f != nullptr && f->kind != kernel::FileKind::kInode) return false;
-  }
-  for (kernel::Proc* q : host.ListProcs()) {
-    if (q->ppid == p.pid) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 EvacuationReport EvacuateHost(kernel::SyscallApi& api, net::Network& net,
                               std::string_view from_host, std::string_view to_host,
@@ -41,14 +24,12 @@ EvacuationReport EvacuateHost(kernel::SyscallApi& api, net::Network& net,
   for (const int32_t pid : candidates) {
     kernel::Proc* p = from->FindProc(pid);
     if (p == nullptr || !p->Alive()) continue;  // exited meanwhile
-    if (!Movable(*from, *p)) {
+    if (!Section7Movable(*from, *p)) {
       report.unmovable.push_back(pid);
       continue;
     }
-    std::string target(to_host);
-    PlacementLease lease;
-    bool have_lease = false;
-    if (target.empty()) {
+    LeasedTarget target{std::string(to_host), {}};
+    if (target.host.empty()) {
       PlacementQuery query;
       query.from_host = std::string(from_host);
       query.pid = pid;
@@ -60,40 +41,21 @@ EvacuationReport EvacuateHost(kernel::SyscallApi& api, net::Network& net,
         query.index = index;  // survey-free picks from the maintained view
         query.reachable_from = api.GetHostname();  // never aim across a partition
       }
-      // Like the balancer: with leasing on, a pick must also be won. Contended
-      // targets are excluded and the query re-run, so a concurrent coordinator
-      // cannot receive the same flood of evacuees.
-      for (size_t tries = 0; tries <= net.hosts().size(); ++tries) {
-        target = engine.PickTarget(query);
-        if (target.empty() || !lease_targets) break;
-        LeaseOptions lopts;
-        lopts.ttl = lease_ttl;
-        const Result<PlacementLease> acquired =
-            AcquirePlacementLease(api, net, target, lopts);
-        if (acquired.ok() && acquired->held) {
-          lease = *acquired;
-          have_lease = true;
-          break;
-        }
-        ++report.lease_conflicts;
-        query.exclude.push_back(target);
-        target.clear();
-      }
-      if (target.empty()) {
+      // Like the balancer: with leasing on, a pick must also be won, so a
+      // concurrent coordinator cannot receive the same flood of evacuees.
+      std::string pick = engine.PickTarget(query);
+      target = LeasePick(api, net, engine, std::move(query), std::move(pick), lease_targets,
+                         lease_ttl, &report.lease_conflicts);
+      if (target.host.empty()) {
         report.unplaced.push_back(pid);
         api.kernel().metrics().Inc("evacuate.unplaced");
         continue;
       }
     }
-    const int rc = core::Migrate(api, net, pid, std::string(from_host), target,
-                                 use_daemon, opts);
-    if (have_lease) ReleasePlacementLease(api, lease);
-    if (DecisionLog* dlog = net.decision_log(); dlog != nullptr && dlog->enabled()) {
-      dlog->AttachOutcome(pid, from_host, target, rc, api.proc().trace_id);
-    }
+    const int rc = MigrateToTarget(api, net, pid, std::string(from_host), target, use_daemon,
+                                   opts, index);
     if (rc == 0) {
       report.moved.push_back(pid);
-      if (index != nullptr) index->NoteMigrated(std::string(from_host), target);
     } else {
       report.failed.push_back(pid);
       api.kernel().metrics().Inc("evacuate.failed");

@@ -4,29 +4,21 @@
 #include <memory>
 #include <optional>
 
-#include "src/apps/decision_log.h"
-#include "src/apps/recovery.h"
+#include "src/apps/coordinator.h"
 #include "src/core/tools.h"
 
 namespace pmig::apps {
 
 namespace {
 
-// Section 7 eligibility for one process: runnable VM work, old enough to be
-// worth moving, no children to orphan, no sockets to sever.
+// Eligibility for one process: runnable VM work, old enough to be worth
+// moving, and movable under Section 7.
 bool EligibleVictim(kernel::Kernel& host, kernel::Proc& p, sim::Nanos now,
                     sim::Nanos min_age) {
   if (p.kind != kernel::ProcKind::kVm || p.state != kernel::ProcState::kRunnable) {
     return false;
   }
-  if (now - p.start_time < min_age) return false;
-  for (kernel::Proc* q : host.ListProcs()) {
-    if (q->ppid == p.pid) return false;
-  }
-  for (const kernel::OpenFilePtr& f : p.fds) {
-    if (f != nullptr && f->kind != kernel::FileKind::kInode) return false;
-  }
-  return true;
+  return now - p.start_time >= min_age && Section7Movable(host, p);
 }
 
 }  // namespace
@@ -217,33 +209,12 @@ LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,
     bool attempted = false;
     for (size_t i = 0; i < victims.size(); ++i) {
       const int32_t victim = victims[i];
-      std::string target = placed[i];
-      // With leasing on, the pick must also be won: a target whose placement
-      // lease another coordinator holds is excluded and the query re-run, so
-      // concurrent balancers spread across targets instead of thundering onto
-      // the one idlest host.
-      PlacementLease lease;
-      bool have_lease = false;
-      if (options.lease_targets) {
-        PlacementQuery retry = query;
-        retry.pid = victim;
-        for (size_t tries = 0; tries <= net.hosts().size(); ++tries) {
-          if (target.empty()) break;
-          LeaseOptions lopts;
-          lopts.ttl = options.lease_ttl;
-          const Result<PlacementLease> acquired =
-              AcquirePlacementLease(api, net, target, lopts);
-          if (acquired.ok() && acquired->held) {
-            lease = *acquired;
-            have_lease = true;
-            break;
-          }
-          ++stats.lease_conflicts;
-          retry.exclude.push_back(target);
-          target = engine.PickTarget(retry);
-        }
-        if (!have_lease) target.clear();
-      }
+      PlacementQuery retry = query;
+      retry.pid = victim;
+      const LeasedTarget leased =
+          LeasePick(api, net, engine, std::move(retry), placed[i], options.lease_targets,
+                    options.lease_ttl, &stats.lease_conflicts);
+      const std::string& target = leased.host;
       if (target.empty()) continue;
       attempted = true;
       if (kernel::Kernel* t = net.FindHost(target); t != nullptr && t->down()) {
@@ -253,15 +224,11 @@ LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,
         ++stats.attempts_to_unreachable;  // the index path filters these out
         if (index.has_value()) index->NoteReachable(target, false);
       }
-      const int rc = core::Migrate(api, net, victim, busiest->first, target,
-                                   options.use_daemon, options.migrate);
-      if (have_lease) ReleasePlacementLease(api, lease);
-      if (DecisionLog* dlog = net.decision_log(); dlog != nullptr && dlog->enabled()) {
-        dlog->AttachOutcome(victim, busiest->first, target, rc, api.proc().trace_id);
-      }
+      const int rc = MigrateToTarget(api, net, victim, busiest->first, leased,
+                                     options.use_daemon, options.migrate,
+                                     index.has_value() ? &*index : nullptr);
       if (rc == 0) {
         ++stats.migrations;
-        if (index.has_value()) index->NoteMigrated(busiest->first, target);
       } else if (rc == core::kMigrateFellBack) {
         ++stats.fallback_restarts;
       } else {

@@ -1,7 +1,6 @@
 #include "src/apps/night_shift.h"
 
-#include "src/apps/decision_log.h"
-#include "src/apps/recovery.h"
+#include "src/apps/coordinator.h"
 #include "src/core/tools.h"
 
 namespace pmig::apps {
@@ -53,11 +52,7 @@ NightShiftStats RunNightShift(kernel::SyscallApi& api, net::Network& net,
     size_t target_index = 0;
     size_t moved_to_target = 0;
     for (size_t i = share; i < jobs.size(); ++i) {
-      std::string target;
-      PlacementLease lease;
-      bool have_lease = false;
-      LeaseOptions lopts;
-      lopts.ttl = options.lease_ttl;
+      LeasedTarget target;
       if (options.policy == PlacementPolicy::kLoadOnly) {
         // Advance past filled shares, and drop any target that crashed since
         // dusk began — a dead machine must receive zero migration attempts.
@@ -80,49 +75,35 @@ NightShiftStats RunNightShift(kernel::SyscallApi& api, net::Network& net,
             break;
           }
           if (eligible.empty()) break;
-          target = eligible[target_index]->hostname();
+          target.host = eligible[target_index]->hostname();
           if (!options.lease_targets) break;
+          LeaseOptions lopts;
+          lopts.ttl = options.lease_ttl;
           const Result<PlacementLease> acquired =
-              AcquirePlacementLease(api, net, target, lopts);
+              AcquirePlacementLease(api, net, target.host, lopts);
           if (acquired.ok() && acquired->held) {
-            lease = *acquired;
-            have_lease = true;
+            target.lease = *acquired;
             break;
           }
           ++stats.lease_conflicts;
           target_index = (target_index + 1) % eligible.size();
           moved_to_target = 0;
-          target.clear();
+          target.host.clear();
         }
-        if (target.empty()) break;  // nowhere left to spread; jobs stay home
+        if (target.host.empty()) break;  // nowhere left to spread; jobs stay home
       } else {
         PlacementQuery query;
         query.from_host = day_host;
         query.pid = jobs[i];
         query.fault_threshold = options.fault_threshold;
         query.context = "night-shift";
-        for (size_t tries = 0; tries <= hosts.size(); ++tries) {
-          target = engine.PickTarget(query);
-          if (target.empty() || !options.lease_targets) break;
-          const Result<PlacementLease> acquired =
-              AcquirePlacementLease(api, net, target, lopts);
-          if (acquired.ok() && acquired->held) {
-            lease = *acquired;
-            have_lease = true;
-            break;
-          }
-          ++stats.lease_conflicts;
-          query.exclude.push_back(target);
-          target.clear();
-        }
-        if (target.empty()) break;  // no eligible target; jobs stay home
+        std::string pick = engine.PickTarget(query);
+        target = LeasePick(api, net, engine, std::move(query), std::move(pick),
+                           options.lease_targets, options.lease_ttl, &stats.lease_conflicts);
+        if (target.host.empty()) break;  // no eligible target; jobs stay home
       }
-      const int rc = core::Migrate(api, net, jobs[i], day_host, target,
-                                   options.use_daemon, options.migrate);
-      if (have_lease) ReleasePlacementLease(api, lease);
-      if (DecisionLog* dlog = net.decision_log(); dlog != nullptr && dlog->enabled()) {
-        dlog->AttachOutcome(jobs[i], day_host, target, rc, api.proc().trace_id);
-      }
+      const int rc = MigrateToTarget(api, net, jobs[i], day_host, target, options.use_daemon,
+                                     options.migrate, /*index=*/nullptr);
       if (rc == 0) {
         ++stats.spread_migrations;
         ++moved_to_target;

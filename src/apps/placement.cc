@@ -335,16 +335,24 @@ void PlacementEngine::RecordDecision(const PlacementQuery& query, bool from_inde
   log->Record(std::move(r));
 }
 
-std::string PlacementEngine::PickTarget(const PlacementQuery& query) const {
-  if (query.index != nullptr) return PickFromIndex(query);
-  const std::vector<CandidateScore> scores = Score(query);
+const CandidateScore* PlacementEngine::Best(
+    const std::vector<CandidateScore>& scores) const {
   const CandidateScore* best = nullptr;
   for (const CandidateScore& s : scores) {
     if (s.fault_excluded || s.health_excluded) continue;
     if (best == nullptr || Beats(s, *best)) best = &s;
   }
+  return best;
+}
+
+std::string PlacementEngine::PickTarget(const PlacementQuery& query) const {
+  // Occupancy queries rank on a load the index does not maintain an order
+  // for, so they score every index entry (still zero survey messages).
+  if (query.index != nullptr && !query.occupancy) return PickFromIndex(query);
+  const std::vector<CandidateScore> scores = Score(query);
+  const CandidateScore* best = Best(scores);
   const std::string chosen = best != nullptr ? best->host : std::string();
-  RecordDecision(query, /*from_index=*/false, scores, chosen);
+  RecordDecision(query, /*from_index=*/query.index != nullptr, scores, chosen);
   return chosen;
 }
 
@@ -352,23 +360,10 @@ std::string PlacementEngine::PickTarget(const PlacementQuery& query) const {
 // ascending, so the first eligible entry already has minimal load; under
 // kLoadOnly it wins outright, and the richer policies score only the
 // minimal-load group for their secondary signals — never the whole cluster.
-// Occupancy queries rank on a different load, so they fall back to a linear
-// walk of the index entries (still zero survey messages).
 std::string PlacementEngine::PickFromIndex(const PlacementQuery& query) const {
   const ClusterIndex& index = *query.index;
   const sim::FaultHistory* history = net_->fault_history();
   const sim::HealthMonitor* monitor = net_->health_monitor();
-  if (query.occupancy) {
-    const std::vector<CandidateScore> scores = ScoreFromIndex(query);
-    const CandidateScore* best = nullptr;
-    for (const CandidateScore& s : scores) {
-      if (s.fault_excluded || s.health_excluded) continue;
-      if (best == nullptr || Beats(s, *best)) best = &s;
-    }
-    const std::string chosen = best != nullptr ? best->host : std::string();
-    RecordDecision(query, /*from_index=*/true, scores, chosen);
-    return chosen;
-  }
   kernel::Kernel* from = net_->FindHost(query.from_host);
   std::vector<CandidateScore> group;  // eligible entries at the minimal load
   int group_load = 0;
@@ -397,11 +392,8 @@ std::string PlacementEngine::PickFromIndex(const PlacementQuery& query) const {
     group.push_back(std::move(s));
   }
   if (picked.empty()) {
-    const CandidateScore* best = nullptr;
-    for (const CandidateScore& s : group) {  // network order within equal load
-      if (best == nullptr || Beats(s, *best)) best = &s;
-    }
-    if (best != nullptr) picked = best->host;
+    // Group members passed the thresholds, so none is excluded here.
+    if (const CandidateScore* best = Best(group); best != nullptr) picked = best->host;
   }
   // Audit with the full index view, not just the minimal-load group the fast
   // path touched: load dominates Beats, so re-ranking the complete candidate
@@ -436,11 +428,7 @@ std::vector<std::string> PlacementEngine::PlaceBatch(
         }
       }
     }
-    const CandidateScore* best = nullptr;
-    for (const CandidateScore& s : scores) {
-      if (s.fault_excluded || s.health_excluded) continue;
-      if (best == nullptr || Beats(s, *best)) best = &s;
-    }
+    const CandidateScore* best = Best(scores);
     if (DecisionLog* log = net_->decision_log(); log != nullptr && log->enabled()) {
       // One record per pid, captured before the lookahead bump below mutates
       // the working loads the next pid will see.

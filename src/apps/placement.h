@@ -159,6 +159,9 @@ class PlacementEngine {
   // True when `better` should displace `incumbent` under this policy
   // (strictly — equal candidates keep the incumbent, preserving host order).
   bool Beats(const CandidateScore& better, const CandidateScore& incumbent) const;
+  // The best candidate not excluded by a threshold (ties keep network order),
+  // or null when none qualifies.
+  const CandidateScore* Best(const std::vector<CandidateScore>& scores) const;
 
   bool PassesQueryFilters(const PlacementQuery& query, std::string_view host) const;
   void FillSignals(const PlacementQuery& query, kernel::Kernel* from,

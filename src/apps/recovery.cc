@@ -1,11 +1,11 @@
 #include "src/apps/recovery.h"
 
 #include <algorithm>
+#include <charconv>
 #include <set>
+#include <string_view>
 
 #include "src/core/dump_format.h"
-#include "src/net/migration_daemon.h"
-#include "src/net/rsh.h"
 
 namespace pmig::apps {
 
@@ -17,14 +17,6 @@ std::string LeasePath(const std::string& local, const std::string& target) {
   const std::string dir =
       target == local ? std::string(kLeaseDir) : "/n/" + target + kLeaseDir;
   return dir + "/placement";
-}
-
-Result<std::string> ReadWholeFile(kernel::SyscallApi& api, const std::string& path) {
-  PMIG_TRY(int fd, api.Open(path, OpenFlags::kORdOnly));
-  Result<std::string> bytes = api.ReadAll(fd);
-  const Status closed = api.Close(fd);
-  (void)closed;
-  return bytes;
 }
 
 struct LeaseRecord {
@@ -54,12 +46,8 @@ LeaseRecord ParseLease(const std::string& bytes) {
   return out;
 }
 
-Status WriteLease(kernel::SyscallApi& api, int fd, const std::string& holder,
-                  sim::Nanos expires) {
-  const Result<int64_t> n = api.Write(
-      fd, "holder " + holder + " expires " + std::to_string(expires) + "\n");
-  if (!n.ok()) return n.error();
-  return Status::Ok();
+std::string FormatLease(const std::string& holder, sim::Nanos expires) {
+  return "holder " + holder + " expires " + std::to_string(expires) + "\n";
 }
 
 // One acquisition pass: O_EXCL create, break-expired-and-retry-once, or
@@ -84,7 +72,7 @@ Result<PlacementLease> AcquireLeaseOnce(kernel::SyscallApi& api,
       lease.holder = local;
       lease.expires = api.Now() + opts.ttl;
       lease.held = true;
-      const Status wrote = WriteLease(api, *fd, local, lease.expires);
+      const Result<int64_t> wrote = api.Write(*fd, FormatLease(local, lease.expires));
       const Status closed = api.Close(*fd);
       (void)closed;
       if (!wrote.ok()) {
@@ -97,7 +85,7 @@ Result<PlacementLease> AcquireLeaseOnce(kernel::SyscallApi& api,
       return lease;
     }
     if (fd.error() != Errno::kExist) return fd.error();
-    const Result<std::string> bytes = ReadWholeFile(api, path);
+    const Result<std::string> bytes = api.ReadFile(path);
     if (!bytes.ok()) {
       // Unlinked between our create and read: go around and try again.
       if (bytes.error() == Errno::kNoEnt) continue;
@@ -154,7 +142,7 @@ Status RenewPlacementLease(kernel::SyscallApi& api, PlacementLease* lease,
   if (lease == nullptr || !lease->held) return Errno::kAcces;
   const std::string local = api.GetHostname();
   const std::string path = LeasePath(local, lease->target);
-  const Result<std::string> bytes = ReadWholeFile(api, path);
+  const Result<std::string> bytes = api.ReadFile(path);
   if (!bytes.ok()) return bytes.error();
   if (ParseLease(*bytes).holder != local) {
     // Somebody broke our expired lease and took it; we no longer hold it.
@@ -162,11 +150,7 @@ Status RenewPlacementLease(kernel::SyscallApi& api, PlacementLease* lease,
     return Errno::kAcces;
   }
   const sim::Nanos expires = api.Now() + opts.ttl;
-  PMIG_TRY(int fd, api.Creat(path, 0600));
-  const Status wrote = WriteLease(api, fd, local, expires);
-  const Status closed = api.Close(fd);
-  (void)closed;
-  if (!wrote.ok()) return wrote.error();
+  PMIG_RETURN_IF_ERROR(api.WriteFile(path, FormatLease(local, expires), 0600));
   lease->expires = expires;
   api.kernel().metrics().Inc("lease.renewed");
   return Status::Ok();
@@ -176,7 +160,7 @@ void ReleasePlacementLease(kernel::SyscallApi& api, const PlacementLease& lease)
   if (!lease.held) return;
   const std::string local = api.GetHostname();
   const std::string path = LeasePath(local, lease.target);
-  const Result<std::string> bytes = ReadWholeFile(api, path);
+  const Result<std::string> bytes = api.ReadFile(path);
   if (!bytes.ok() || ParseLease(*bytes).holder != local) return;
   const Status st = api.Unlink(path);
   (void)st;
@@ -189,20 +173,6 @@ namespace {
 
 bool PathExists(kernel::SyscallApi& api, const std::string& path) {
   return api.Stat(path).ok();
-}
-
-core::DumpMarker ReadMarker(kernel::SyscallApi& api, const std::string& path) {
-  const Result<std::string> bytes = ReadWholeFile(api, path);
-  if (!bytes.ok()) return {};
-  return core::ParseDumpMarker(*bytes);
-}
-
-void RemoveDumpSet(kernel::SyscallApi& api, const core::DumpPaths& paths) {
-  for (const std::string* p : {&paths.aout, &paths.files, &paths.stack,
-                               &paths.ready, &paths.claim}) {
-    const Status st = api.Unlink(*p);
-    (void)st;
-  }
 }
 
 // A live migrated process anywhere (reachable) whose pre-migration identity is
@@ -220,25 +190,23 @@ bool SurvivorExists(net::Network& net, const std::string& local,
 }
 
 // All pids with any dump-set file ("a.out"/"files"/"stack"/"ready"/"claim" +
-// digits) in `dir`, in ascending order — the scan is deterministic because
-// directory entries iterate sorted.
+// pid) in `dir`, in ascending order — the scan is deterministic because
+// directory entries iterate sorted. Only a suffix that round-trips to a
+// positive int32 names a pid: /usr/tmp is world-writable, and junk such as
+// "a.out4294967396" must not wrap onto a real process's pid.
 std::set<int32_t> DumpSetPids(kernel::SyscallApi& api, const std::string& dir) {
   std::set<int32_t> pids;
   const Result<std::vector<std::string>> names = api.ReadDir(dir);
   if (!names.ok()) return pids;
   for (const std::string& name : *names) {
-    for (const char* prefix : {"a.out", "files", "stack", "ready", "claim"}) {
-      const size_t len = std::string(prefix).size();
-      if (name.size() <= len || name.compare(0, len, prefix) != 0) continue;
-      bool digits = true;
-      for (size_t i = len; i < name.size(); ++i) {
-        if (name[i] < '0' || name[i] > '9') {
-          digits = false;
-          break;
-        }
-      }
-      if (!digits) continue;
-      pids.insert(static_cast<int32_t>(std::atoi(name.c_str() + len)));
+    for (const std::string_view prefix : {"a.out", "files", "stack", "ready", "claim"}) {
+      if (!name.starts_with(prefix)) continue;
+      const std::string_view suffix = std::string_view(name).substr(prefix.size());
+      int32_t pid = 0;
+      const std::from_chars_result parsed =
+          std::from_chars(suffix.data(), suffix.data() + suffix.size(), pid);
+      if (parsed.ec != std::errc() || pid <= 0 || std::to_string(pid) != suffix) continue;
+      pids.insert(pid);
       break;
     }
   }
@@ -254,28 +222,20 @@ struct ReapContext {
   std::string local;
 };
 
-void Note(ReapContext& ctx, int32_t pid, const std::string& host,
-          const char* action) {
+// Records one decision: `pid` joins `outcome` (one of the report's lists) and
+// the log.
+void Note(ReapContext& ctx, std::vector<int32_t>& outcome, int32_t pid,
+          const std::string& host, const char* action) {
+  outcome.push_back(pid);
   ctx.report->log += std::to_string(pid) + "@" + host + ":" + action + ";";
 }
 
-Result<int> RunRestart(ReapContext& ctx, const std::string& target,
-                       int32_t pid, const std::string& dump_host) {
-  std::vector<std::string> args = {"-p", std::to_string(pid), "-h", dump_host,
-                                   "--claim"};
-  if (target == ctx.local) {
-    PMIG_TRY(int32_t child, ctx.api.SpawnProgram("restart", std::move(args)));
-    (void)child;
-    PMIG_TRY(kernel::WaitResult wr, ctx.api.Wait());
-    return wr.overlaid ? 0 : wr.info.exit_code;
-  }
-  net::RemoteExecOptions remote_opts;
-  if (ctx.opts.attempt_timeout > 0) remote_opts.timeout = ctx.opts.attempt_timeout;
-  return ctx.opts.use_daemon
-             ? net::DaemonExec(ctx.api, ctx.net, target, "restart",
-                               std::move(args), remote_opts)
-             : net::Rsh(ctx.api, ctx.net, target, "restart", std::move(args),
-                        remote_opts);
+// Collects a dump set that nobody will ever consume.
+void Collect(ReapContext& ctx, int32_t pid, const std::string& host,
+             const core::DumpPaths& paths, const char* action) {
+  core::RemoveDumpSet(ctx.api, paths);
+  ctx.api.kernel().metrics().Inc("reaper.collected");
+  Note(ctx, ctx.report->collected, pid, host, action);
 }
 
 // Re-drives the restart of a stale, unclaimed (or just-unclaimed) dump set on
@@ -283,8 +243,8 @@ Result<int> RunRestart(ReapContext& ctx, const std::string& target,
 // restart runs. restart --claim's O_EXCL is the actual mutex against every
 // other concurrent consumer — a racing coordinator's restart loses the claim
 // and bows out.
-void Revive(ReapContext& ctx, const std::string& host, const std::string& dir,
-            int32_t pid, const core::DumpPaths& paths) {
+void Revive(ReapContext& ctx, const std::string& host, int32_t pid,
+            const core::DumpPaths& paths) {
   PlacementEngine engine(&ctx.net, ctx.opts.policy);
   PlacementQuery query;
   query.from_host = host;
@@ -316,32 +276,31 @@ void Revive(ReapContext& ctx, const std::string& host, const std::string& dir,
       }
       lease = *acquired;
     }
-    const Result<int> rc = RunRestart(ctx, target, pid, host);
+    const Result<int> rc =
+        core::RunTool(ctx.api, ctx.net, target, "restart",
+                      {"-p", std::to_string(pid), "-h", host, "--claim"},
+                      ctx.opts.use_daemon, ctx.opts.attempt_timeout);
     if (ctx.opts.use_lease) ReleasePlacementLease(ctx.api, lease);
     if (rc.ok() && *rc == 0) {
       ctx.api.kernel().metrics().Inc("reaper.revived");
-      RemoveDumpSet(ctx.api, paths);
-      ctx.report->revived.push_back(pid);
-      Note(ctx, pid, host, "revived");
+      core::RemoveDumpSet(ctx.api, paths);
+      Note(ctx, ctx.report->revived, pid, host, "revived");
       return;
     }
     if (rc.ok() && *rc == core::kToolClaimed) {
       // A concurrent consumer won the claim mid-pass; the process is in
       // better-informed hands. Leave the sweep to the winner.
-      ctx.report->skipped.push_back(pid);
-      Note(ctx, pid, host, "lost-claim");
+      Note(ctx, ctx.report->skipped, pid, host, "lost-claim");
       return;
     }
     // Transient or hard failure: keep the set for the next pass rather than
     // guessing. (A hard restart failure with a valid-looking set usually
     // means the set is unconsumable; the next pass's survivor/age checks
     // keep it from living forever.)
-    ctx.report->skipped.push_back(pid);
-    Note(ctx, pid, host, "revive-failed");
+    Note(ctx, ctx.report->skipped, pid, host, "revive-failed");
     return;
   }
-  ctx.report->skipped.push_back(pid);
-  Note(ctx, pid, host, "no-target");
+  Note(ctx, ctx.report->skipped, pid, host, "no-target");
 }
 
 void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
@@ -356,8 +315,7 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
   if (owner != nullptr) {
     kernel::Proc* p = owner->FindProc(pid);
     if (p != nullptr && p->Alive()) {
-      ctx.report->skipped.push_back(pid);
-      Note(ctx, pid, host, "origin-alive");
+      Note(ctx, ctx.report->skipped, pid, host, "origin-alive");
       return;
     }
   }
@@ -366,10 +324,7 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
   // short (e.g. the consumer lost the source's disk to a partition right
   // after committing): collect it.
   if (SurvivorExists(ctx.net, ctx.local, host, pid)) {
-    RemoveDumpSet(ctx.api, paths);
-    ctx.api.kernel().metrics().Inc("reaper.collected");
-    ctx.report->collected.push_back(pid);
-    Note(ctx, pid, host, "consumed");
+    Collect(ctx, pid, host, paths, "consumed");
     return;
   }
 
@@ -379,55 +334,43 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
   // landing right now.
   if (!PathExists(ctx.api, paths.ready)) {
     if (ctx.state == nullptr) {
-      ctx.report->skipped.push_back(pid);
-      Note(ctx, pid, host, "incomplete");
+      Note(ctx, ctx.report->skipped, pid, host, "incomplete");
       return;
     }
     const std::string key = host + ":" + std::to_string(pid);
     auto it = ctx.state->find(key);
     if (it == ctx.state->end()) {
       (*ctx.state)[key] = now;
-      ctx.report->skipped.push_back(pid);
-      Note(ctx, pid, host, "incomplete-first-seen");
+      Note(ctx, ctx.report->skipped, pid, host, "incomplete-first-seen");
       return;
     }
     if (now - it->second < ctx.opts.grace) {
-      ctx.report->skipped.push_back(pid);
-      Note(ctx, pid, host, "incomplete-young");
+      Note(ctx, ctx.report->skipped, pid, host, "incomplete-young");
       return;
     }
     ctx.state->erase(it);
-    RemoveDumpSet(ctx.api, paths);
-    ctx.api.kernel().metrics().Inc("reaper.collected");
-    ctx.report->collected.push_back(pid);
-    Note(ctx, pid, host, "debris");
+    Collect(ctx, pid, host, paths, "debris");
     return;
   }
 
   // Complete set. Too young to touch?
-  const core::DumpMarker ready = ReadMarker(ctx.api, paths.ready);
+  const core::DumpMarker ready = core::ReadDumpMarker(ctx.api, paths.ready);
   if (ready.at >= 0 && now - ready.at < ctx.opts.grace) {
-    ctx.report->skipped.push_back(pid);
-    Note(ctx, pid, host, "young");
+    Note(ctx, ctx.report->skipped, pid, host, "young");
     return;
   }
 
   if (PathExists(ctx.api, paths.claim)) {
-    const core::DumpMarker claim = ReadMarker(ctx.api, paths.claim);
+    const core::DumpMarker claim = core::ReadDumpMarker(ctx.api, paths.claim);
     if (!claim.host.empty()) {
-      kernel::Kernel* holder = ctx.net.FindHost(claim.host);
-      const bool reachable = holder != nullptr && !holder->down() &&
-                             ctx.net.Reachable(ctx.local, claim.host);
-      if (!reachable) {
+      if (!core::HolderReachable(ctx.net, ctx.local, claim.host)) {
         // THE exactly-once rule: the holder may be running this process on
         // the far side of a partition. Hands off until it is observable.
-        ctx.report->skipped.push_back(pid);
-        Note(ctx, pid, host, "holder-unreachable");
+        Note(ctx, ctx.report->skipped, pid, host, "holder-unreachable");
         return;
       }
       if (claim.at >= 0 && now - claim.at < ctx.opts.grace) {
-        ctx.report->skipped.push_back(pid);
-        Note(ctx, pid, host, "claim-fresh");
+        Note(ctx, ctx.report->skipped, pid, host, "claim-fresh");
         return;
       }
     }
@@ -440,8 +383,7 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
       Result<PlacementLease> acquired =
           AcquirePlacementLease(ctx.api, ctx.net, host, ctx.opts.lease);
       if (!acquired.ok() || !acquired->held) {
-        ctx.report->skipped.push_back(pid);
-        Note(ctx, pid, host, "break-contended");
+        Note(ctx, ctx.report->skipped, pid, host, "break-contended");
         return;
       }
       breaker = *acquired;
@@ -453,13 +395,13 @@ void ReapOne(ReapContext& ctx, const std::string& host, const std::string& dir,
     // release the serialising lease before reviving so the revive may lease
     // the dump host itself as a target.
     if (ctx.opts.use_lease) ReleasePlacementLease(ctx.api, breaker);
-    Revive(ctx, host, dir, pid, paths);
+    Revive(ctx, host, pid, paths);
     return;
   }
 
   // Ready, unclaimed, stale, no survivor: a completed dump whose coordinator
   // never came back for it. Revive it.
-  Revive(ctx, host, dir, pid, paths);
+  Revive(ctx, host, pid, paths);
 }
 
 }  // namespace
@@ -481,8 +423,7 @@ ReaperReport ReapOrphans(kernel::SyscallApi& api, net::Network& net,
                                !net.Reachable(hname, ctx.local))) {
       continue;
     }
-    const std::string dir =
-        hname == ctx.local ? std::string("/usr/tmp") : "/n/" + hname + "/usr/tmp";
+    const std::string dir = core::DumpDir(ctx.local, hname);
     for (int32_t pid : DumpSetPids(api, dir)) {
       ReapOne(ctx, hname, dir, pid);
     }

@@ -178,9 +178,13 @@ class Cluster {
   kernel::ProgramRegistry programs_;
   std::unique_ptr<sim::FaultInjector> faults_;
   sim::FaultHistory fault_history_{&clock_};
-  std::vector<std::unique_ptr<kernel::Kernel>> hosts_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<net::SpawnService>> spawn_services_;
+  // Declared last so it is destroyed first: tearing a host down unwinds the
+  // native tasks it still runs, and their stacks may reach the network and the
+  // spawn services (a blocked balancer's ClusterIndex unregisters from the
+  // Network on its way out).
+  std::vector<std::unique_ptr<kernel::Kernel>> hosts_;
 };
 
 }  // namespace pmig::cluster

@@ -11,37 +11,33 @@ namespace pmig::core {
 
 namespace {
 
-// Reads a whole dump file on behalf of `p`, enforcing read permission with the
-// caller's (pre-restore) credentials — this is what makes only the owner or the
-// superuser able to restart a process.
-Result<std::string> ReadDumpFile(kernel::Kernel& k, kernel::Proc& p,
-                                 const std::string& path) {
-  kernel::SyscallApi* sink = k.ApiFor(p.pid);
-  PMIG_TRY(vfs::Vfs::Resolved r, k.vfs().Resolve(p.cwd, path, vfs::Follow::kAll, sink));
-  if (!r.inode->IsRegular()) return Errno::kNoExec;
-  if (!vfs::CheckAccess(*r.inode, p.creds.euid, vfs::kWantRead)) return Errno::kAcces;
-  std::string bytes;
-  k.vfs().ReadAt(*r.inode, 0, r.inode->size(), &bytes, sink);
-  return bytes;
+// Charges mapping a `size`-byte file the way the modified execve() maps an
+// a.out: demand-paged, so only the header + first pages are paid for
+// synchronously.
+void ChargeDemandPaged(kernel::Kernel& k, kernel::SyscallApi* sink, int64_t size,
+                       bool remote) {
+  if (sink == nullptr) return;
+  const sim::CostModel& costs = k.costs();
+  const int64_t prefetch = std::min<int64_t>(size, costs.exec_prefetch_bytes);
+  const auto io = remote ? costs.NetIo(prefetch) : costs.DiskIo(prefetch);
+  sink->ChargeCpu(io.cpu);
+  sink->ChargeWait(io.wait + (remote ? costs.nfs_rpc : costs.inode_fetch));
 }
 
-// Reads the a.out the way the modified execve() does: demand-paged, so only the
-// header + first pages are charged synchronously.
-Result<std::string> ReadAoutDemandPaged(kernel::Kernel& k, kernel::Proc& p,
-                                        const std::string& path) {
+// Reads a whole dump file on behalf of `p`, enforcing read permission with the
+// caller's (pre-restore) credentials — this is what makes only the owner or the
+// superuser able to restart a process. The read is charged in full, or
+// `demand_paged` like an executable.
+Result<std::string> ReadDumpFile(kernel::Kernel& k, kernel::Proc& p, const std::string& path,
+                                 bool demand_paged) {
   kernel::SyscallApi* sink = k.ApiFor(p.pid);
   PMIG_TRY(vfs::Vfs::Resolved r, k.vfs().Resolve(p.cwd, path, vfs::Follow::kAll, sink));
   if (!r.inode->IsRegular()) return Errno::kNoExec;
   if (!vfs::CheckAccess(*r.inode, p.creds.euid, vfs::kWantRead)) return Errno::kAcces;
   std::string bytes;
-  k.vfs().ReadAt(*r.inode, 0, r.inode->size(), &bytes, nullptr);
-  if (sink != nullptr) {
-    const sim::CostModel& costs = k.costs();
-    const int64_t prefetch = std::min<int64_t>(r.inode->size(), costs.exec_prefetch_bytes);
-    const bool remote = k.vfs().InodeIsRemote(*r.inode);
-    const auto io = remote ? costs.NetIo(prefetch) : costs.DiskIo(prefetch);
-    sink->ChargeCpu(io.cpu);
-    sink->ChargeWait(io.wait + (remote ? costs.nfs_rpc : costs.inode_fetch));
+  k.vfs().ReadAt(*r.inode, 0, r.inode->size(), &bytes, demand_paged ? nullptr : sink);
+  if (demand_paged && sink != nullptr) {
+    ChargeDemandPaged(k, sink, r.inode->size(), k.vfs().InodeIsRemote(*r.inode));
   }
   return bytes;
 }
@@ -76,13 +72,7 @@ Result<std::vector<uint8_t>> FetchSegment(kernel::Kernel& k, kernel::Proc& p,
     std::string bytes;
     k.vfs().ReadAt(*local->inode, 0, local->inode->size(), &bytes, nullptr);
     if (bytes.size() == expected_size && sim::HashBytes(bytes) == digest) {
-      if (sink != nullptr) {
-        const int64_t prefetch = std::min<int64_t>(
-            static_cast<int64_t>(bytes.size()), costs.exec_prefetch_bytes);
-        const auto io = costs.DiskIo(prefetch);
-        sink->ChargeCpu(io.cpu);
-        sink->ChargeWait(io.wait + costs.inode_fetch);
-      }
+      ChargeDemandPaged(k, sink, static_cast<int64_t>(bytes.size()), /*remote=*/false);
       metrics.Inc(hit_name);
       return std::vector<uint8_t>(bytes.begin(), bytes.end());
     }
@@ -128,7 +118,7 @@ Result<std::vector<uint8_t>> FetchSegment(kernel::Kernel& k, kernel::Proc& p,
 Status RestProcImpl(kernel::Kernel& k, kernel::Proc& p, const std::string& aout_path,
                     const std::string& stack_path) {
   // 1. Open the stackXXXXX file, checking access permissions and the magic number.
-  PMIG_TRY(std::string stack_bytes, ReadDumpFile(k, p, stack_path));
+  PMIG_TRY(std::string stack_bytes, ReadDumpFile(k, p, stack_path, /*demand_paged=*/false));
   PMIG_TRY(StackFile stack, StackFile::Parse(stack_bytes));
   if (stack.stack.size() > vm::kStackMax) return Errno::kNoExec;
 
@@ -136,7 +126,7 @@ Status RestProcImpl(kernel::Kernel& k, kernel::Proc& p, const std::string& aout_
   // the modified execve(), i.e. demand-paged. An incremental dump references its
   // segments by digest; they are resolved from the local cache or the dump
   // host's cache, and the reconstruction is digest-checked end to end.
-  PMIG_TRY(std::string aout_bytes, ReadAoutDemandPaged(k, p, aout_path));
+  PMIG_TRY(std::string aout_bytes, ReadDumpFile(k, p, aout_path, /*demand_paged=*/true));
   vm::AoutImage image;
   ReconstructedImage recon;
   bool was_incremental = false;

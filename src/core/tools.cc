@@ -24,22 +24,8 @@ void Complain(kernel::SyscallApi& api, const std::string& message) {
 // Reads and parses one dump file.
 template <typename T>
 Result<T> LoadDumpFile(kernel::SyscallApi& api, const std::string& path) {
-  PMIG_TRY(int fd, api.Open(path, OpenFlags::kORdOnly));
-  const Result<std::string> bytes = api.ReadAll(fd);
-  const Status closed = api.Close(fd);
-  (void)closed;
-  if (!bytes.ok()) return bytes.error();
-  return T::Parse(*bytes);
-}
-
-Status WriteFileContents(kernel::SyscallApi& api, const std::string& path,
-                         const std::string& contents, uint16_t mode) {
-  PMIG_TRY(int fd, api.Creat(path, mode));
-  const Result<int64_t> n = api.Write(fd, contents);
-  const Status closed = api.Close(fd);
-  (void)closed;
-  if (!n.ok()) return n.error();
-  return Status::Ok();
+  PMIG_TRY(std::string bytes, api.ReadFile(path));
+  return T::Parse(bytes);
 }
 
 }  // namespace
@@ -127,22 +113,22 @@ bool FileExists(kernel::SyscallApi& api, const std::string& path) {
   return true;
 }
 
-// Reads the claim marker next to a dump set. Empty host when the claim is
-// missing, unreadable (e.g. across a partition), or from a pre-metadata writer.
-DumpMarker ReadClaimMarker(kernel::SyscallApi& api, const DumpPaths& paths) {
-  const Result<int> fd = api.Open(paths.claim, OpenFlags::kORdOnly);
-  if (!fd.ok()) return {};
-  const Result<std::string> bytes = api.ReadAll(*fd);
-  const Status closed = api.Close(*fd);
-  (void)closed;
+}  // namespace
+
+// --- the move protocol's shared pieces --------------------------------------------
+
+std::string DumpDir(const std::string& local, const std::string& host) {
+  if (host.empty() || host == local) return "/usr/tmp";
+  return "/n/" + host + "/usr/tmp";
+}
+
+DumpMarker ReadDumpMarker(kernel::SyscallApi& api, const std::string& path) {
+  const Result<std::string> bytes = api.ReadFile(path);
   if (!bytes.ok()) return {};
   return ParseDumpMarker(*bytes);
 }
 
-// Removes every trace of a dump set, ignoring files that are not there. Used
-// on the success path (the dump has been consumed) and on every failure path
-// (a half-written or unconsumable dump must not survive as an orphan).
-void CleanupDumpFiles(kernel::SyscallApi& api, const DumpPaths& paths) {
+void RemoveDumpSet(kernel::SyscallApi& api, const DumpPaths& paths) {
   for (const std::string* p : {&paths.aout, &paths.files, &paths.stack,
                                &paths.ready, &paths.claim}) {
     const Status st = api.Unlink(*p);
@@ -150,7 +136,89 @@ void CleanupDumpFiles(kernel::SyscallApi& api, const DumpPaths& paths) {
   }
 }
 
-}  // namespace
+Result<int> RunTool(kernel::SyscallApi& api, net::Network& net, const std::string& host,
+                    const std::string& program, std::vector<std::string> args,
+                    bool use_daemon, sim::Nanos timeout) {
+  if (host == api.GetHostname()) {
+    PMIG_TRY(int32_t child, api.SpawnProgram(program, std::move(args)));
+    (void)child;
+    PMIG_TRY(kernel::WaitResult wr, api.Wait());
+    return wr.overlaid ? 0 : wr.info.exit_code;
+  }
+  net::RemoteExecOptions remote_opts;
+  if (timeout > 0) remote_opts.timeout = timeout;
+  return use_daemon
+             ? net::DaemonExec(api, net, host, program, std::move(args), remote_opts)
+             : net::Rsh(api, net, host, program, std::move(args), remote_opts);
+}
+
+bool HolderReachable(net::Network& net, const std::string& local, const std::string& holder,
+                     sim::MetricsRegistry* metrics) {
+  kernel::Kernel* k = net.FindHost(holder);
+  return k != nullptr && !k->down() && net.Reachable(local, holder, metrics);
+}
+
+void EnsureTraceId(kernel::SyscallApi& api) {
+  kernel::Proc& self = api.proc();
+  if (self.trace_id == 0 && api.kernel().spans() != nullptr) {
+    self.trace_id = api.kernel().spans()->MintTraceId();
+  }
+}
+
+bool RestoreFdTable(kernel::SyscallApi& api, const FilesFile& files, int slots) {
+  std::array<bool, kernel::kNoFile> placeholder{};
+  for (int i = 0; i < slots; ++i) {
+    const FilesEntry& entry = files.entries[static_cast<size_t>(i)];
+    int got = -1;
+    if (entry.kind == FilesEntry::Kind::kFile) {
+      // Correct access modes; never truncate or create on reopen.
+      const int32_t flags =
+          entry.flags & (vm::abi::kAccMode | OpenFlags::kOAppend);
+      const Result<int> fd = api.Open(entry.path, flags);
+      if (fd.ok()) {
+        got = *fd;
+        const Result<int64_t> pos = api.Lseek(got, entry.offset, vm::abi::kSeekSet);
+        (void)pos;  // pipes-turned-files etc. may refuse; offset is best effort
+      } else if (i < 3) {
+        // Stdio that cannot be reopened: the terminal, "so that the user may have
+        // some control over the restarted program".
+        const Result<int> tty = api.Open("/dev/tty", OpenFlags::kORdWr);
+        if (tty.ok()) got = *tty;
+      }
+    }
+    if (got < 0) {
+      // Unused slots, sockets, and unreopenable files: the null device, "so that
+      // the restarted process can find an open file where it expects one, and to
+      // preserve the order of open file numbers."
+      const Result<int> null_fd = api.Open("/dev/null", OpenFlags::kORdWr);
+      if (!null_fd.ok()) return false;
+      got = *null_fd;
+      if (entry.kind == FilesEntry::Kind::kUnused) {
+        placeholder[static_cast<size_t>(i)] = true;
+      }
+    }
+    if (got != i) return false;  // fd-table invariant broken; bail out
+  }
+  for (int i = 0; i < slots; ++i) {
+    if (placeholder[static_cast<size_t>(i)]) {
+      const Status st = api.Close(i);
+      (void)st;
+    }
+  }
+
+  // The old terminal flags, applied to the current terminal — impossible under
+  // rsh (no controlling tty), which is exactly the visual-program limitation.
+  if (files.had_tty) {
+    const Result<int> tty = api.Open("/dev/tty", OpenFlags::kORdWr);
+    if (tty.ok()) {
+      const Status st = api.TtySetFlags(*tty, files.tty_flags);
+      (void)st;
+      const Status closed = api.Close(*tty);
+      (void)closed;
+    }
+  }
+  return true;
+}
 
 bool IsTransientErrno(Errno e) {
   return e == Errno::kTimedOut || e == Errno::kHostUnreach || e == Errno::kIo ||
@@ -174,11 +242,8 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
   // unsuccessful attempt (aborting after ten). The kernel's own "dump" span
   // nests inside this one, so the signal phase's self time is the kill plus the
   // retry-sleep slack.
+  EnsureTraceId(api);  // invoked by hand rather than by migrate
   kernel::Proc& self = api.proc();
-  if (self.trace_id == 0 && api.kernel().spans() != nullptr) {
-    // Invoked by hand rather than by migrate: start a trace of our own.
-    self.trace_id = api.kernel().spans()->MintTraceId();
-  }
   const DumpPaths paths = DumpPaths::For(pid);
   if (tx && FileExists(api, paths.ready)) return kToolOk;  // rerun after success
   if (incremental) {
@@ -219,7 +284,7 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
         if (failed.ok() && *failed) {
           Complain(api, "dumpproc: dump of " + std::to_string(pid) +
                             " aborted by the kernel");
-          CleanupDumpFiles(api, paths);
+          RemoveDumpSet(api, paths);
           return tx ? kToolTransient : kToolFail;
         }
         api.Sleep(sim::Seconds(1));
@@ -229,14 +294,14 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
   if (!appeared) {
     // The dump may be mid-write (an injected fault resumed the process, or the
     // kernel is slow): leave nothing behind and let the caller retry.
-    CleanupDumpFiles(api, paths);
+    RemoveDumpSet(api, paths);
     Complain(api, "dumpproc: dump files for " + std::to_string(pid) + " never appeared");
     return tx ? kToolTransient : kToolFail;
   }
 
   Result<FilesFile> files = LoadDumpFile<FilesFile>(api, paths.files);
   if (!files.ok()) {
-    CleanupDumpFiles(api, paths);
+    RemoveDumpSet(api, paths);
     Complain(api, "dumpproc: bad " + paths.files + " (" +
                       std::string(ErrnoName(files.error())) + ")");
     return kToolFail;
@@ -249,13 +314,13 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
     // publish the ready marker: a reader that sees readyXXXXX sees a complete,
     // rewritten dump set.
     const std::string tmp = paths.files + ".tmp";
-    Status wrote = WriteFileContents(api, tmp, files->Serialize(), 0600);
+    Status wrote = api.WriteFile(tmp, files->Serialize(), 0600);
     if (wrote.ok()) wrote = api.Rename(tmp, paths.files);
     if (wrote.ok()) {
       // The marker carries when and where the set was completed so the orphan
       // reaper can age it later (inodes have no mtime).
-      wrote = WriteFileContents(
-          api, paths.ready, FormatReadyMarker(api.GetHostname(), api.Now()), 0600);
+      wrote = api.WriteFile(paths.ready, FormatReadyMarker(api.GetHostname(), api.Now()),
+                            0600);
     }
     if (!wrote.ok()) {
       const Status st = api.Unlink(tmp);
@@ -269,17 +334,17 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
         // + files-present path above) and redoes the idempotent rewrite.
         return kToolTransient;
       }
-      CleanupDumpFiles(api, paths);
+      RemoveDumpSet(api, paths);
       return kToolFail;
     }
     return kToolOk;
   }
 
-  if (const Status wrote = WriteFileContents(api, paths.files, files->Serialize(), 0600);
+  if (const Status wrote = api.WriteFile(paths.files, files->Serialize(), 0600);
       !wrote.ok()) {
     // A half-rewritten filesXXXXX is poison for restart; take the whole dump
     // set down with it rather than leaving a trap (and an orphan) behind.
-    CleanupDumpFiles(api, paths);
+    RemoveDumpSet(api, paths);
     Complain(api, "dumpproc: cannot rewrite " + paths.files + " (" +
                       std::string(ErrnoName(wrote.error())) + ")");
     return kToolFail;
@@ -291,18 +356,12 @@ int Dumpproc(kernel::SyscallApi& api, int32_t pid, bool tx, bool incremental) {
 
 int Restart(kernel::SyscallApi& api, int32_t pid, const std::string& dump_host,
             bool claim) {
+  // Invoked by hand (not through migrate, which threads its context in via the
+  // spawn): start a trace of our own. rest_proc() still adopts the dump's
+  // stamped id when ours is 0 — i.e. when spans are disabled.
+  EnsureTraceId(api);
   kernel::Proc& self = api.proc();
-  if (self.trace_id == 0 && api.kernel().spans() != nullptr) {
-    // Invoked by hand (not through migrate, which threads its context in via
-    // the spawn): start a trace of our own. rest_proc() still adopts the
-    // dump's stamped id when ours is 0 — i.e. when spans are disabled.
-    self.trace_id = api.kernel().spans()->MintTraceId();
-  }
-  std::string dir = "/usr/tmp";
-  if (!dump_host.empty() && dump_host != api.GetHostname()) {
-    dir = "/n/" + dump_host + "/usr/tmp";
-  }
-  const DumpPaths paths = DumpPaths::For(pid, dir);
+  const DumpPaths paths = DumpPaths::For(pid, DumpDir(api.GetHostname(), dump_host));
 
   // Reading the dump files (over NFS on a remote-source restart) is the transfer
   // leg of a migration; span it so the run report can attribute it.
@@ -393,63 +452,13 @@ int Restart(kernel::SyscallApi& api, int32_t pid, const std::string& dump_host,
     return rc;
   };
 
-  // Rebuild the fd table: close everything (including our own stdio), then reopen
-  // slot by slot so each file lands on its original descriptor number.
+  // Rebuild the fd table: close everything (including our own stdio), then
+  // reopen every slot so each file lands on its original descriptor number.
   for (int fd = 0; fd < kernel::kNoFile; ++fd) {
     const Status st = api.Close(fd);
     (void)st;
   }
-  std::array<bool, kernel::kNoFile> placeholder{};
-  for (int i = 0; i < kernel::kNoFile; ++i) {
-    const FilesEntry& entry = files->entries[static_cast<size_t>(i)];
-    int got = -1;
-    if (entry.kind == FilesEntry::Kind::kFile) {
-      // Correct access modes; never truncate or create on reopen.
-      const int32_t flags =
-          entry.flags & (vm::abi::kAccMode | OpenFlags::kOAppend);
-      const Result<int> fd = api.Open(entry.path, flags);
-      if (fd.ok()) {
-        got = *fd;
-        const Result<int64_t> pos = api.Lseek(got, entry.offset, vm::abi::kSeekSet);
-        (void)pos;  // pipes-turned-files etc. may refuse; offset is best effort
-      } else if (i < 3) {
-        // Stdio that cannot be reopened: the terminal, "so that the user may have
-        // some control over the restarted program".
-        const Result<int> tty = api.Open("/dev/tty", OpenFlags::kORdWr);
-        if (tty.ok()) got = *tty;
-      }
-    }
-    if (got < 0) {
-      // Unused slots, sockets, and unreopenable files: the null device, "so that
-      // the restarted process can find an open file where it expects one, and to
-      // preserve the order of open file numbers."
-      const Result<int> null_fd = api.Open("/dev/null", OpenFlags::kORdWr);
-      if (!null_fd.ok()) return fail(kToolFail);
-      got = *null_fd;
-      if (entry.kind == FilesEntry::Kind::kUnused) {
-        placeholder[static_cast<size_t>(i)] = true;
-      }
-    }
-    if (got != i) return fail(kToolFail);  // fd-table invariant broken; bail out
-  }
-  for (int i = 0; i < kernel::kNoFile; ++i) {
-    if (placeholder[static_cast<size_t>(i)]) {
-      const Status st = api.Close(i);
-      (void)st;
-    }
-  }
-
-  // The old terminal flags, applied to the current terminal — impossible under
-  // rsh (no controlling tty), which is exactly the visual-program limitation.
-  if (files->had_tty) {
-    const Result<int> tty = api.Open("/dev/tty", OpenFlags::kORdWr);
-    if (tty.ok()) {
-      const Status st = api.TtySetFlags(*tty, files->tty_flags);
-      (void)st;
-      const Status closed = api.Close(*tty);
-      (void)closed;
-    }
-  }
+  if (!RestoreFdTable(api, *files, kernel::kNoFile)) return fail(kToolFail);
 
   // rest_proc() — no return on success.
   const Status st = api.RestProc(paths.aout, paths.stack);
@@ -466,22 +475,6 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   if (to_host.empty()) to_host = local;
   sim::MetricsRegistry& metrics = api.kernel().metrics();
 
-  auto run_local = [&api](const std::string& program,
-                          std::vector<std::string> args) -> Result<int> {
-    PMIG_TRY(int32_t child, api.SpawnProgram(program, std::move(args)));
-    (void)child;
-    PMIG_TRY(kernel::WaitResult wr, api.Wait());
-    return wr.overlaid ? 0 : wr.info.exit_code;
-  };
-  auto run_on = [&](const std::string& host, const std::string& program,
-                    std::vector<std::string> args) -> Result<int> {
-    if (host == local) return run_local(program, std::move(args));
-    net::RemoteExecOptions remote_opts;
-    if (opts.attempt_timeout > 0) remote_opts.timeout = opts.attempt_timeout;
-    return use_daemon
-               ? net::DaemonExec(api, net, host, program, std::move(args), remote_opts)
-               : net::Rsh(api, net, host, program, std::move(args), remote_opts);
-  };
   // Every remote attempt's outcome also feeds the cluster's per-host fault
   // history: placement policies read the decayed scores back to steer the next
   // migration away from hosts that have been failing. Recording is bookkeeping
@@ -506,26 +499,56 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
       history->RecordSuccess(host);  // the tool ran: the host is reachable
     }
   };
+  // The one doubling-backoff loop: while `again` judges the last result worth
+  // another try, pause (doubling from `pause`, capped at opts.max_backoff) and
+  // run `attempt` again.
+  auto with_backoff = [&](Result<int> rc, sim::Nanos pause, auto&& again,
+                          auto&& attempt) -> Result<int> {
+    while (again(rc)) {
+      if (pause > 0) api.Sleep(pause);
+      pause *= 2;
+      if (opts.max_backoff > 0 && pause > opts.max_backoff) {
+        pause = opts.max_backoff;
+        metrics.Inc("migrate.backoff_capped");
+      }
+      rc = attempt();
+    }
+    return rc;
+  };
   // One leg of the transaction: up to opts.attempts tries, retrying only
   // failures a later attempt might not see again, with a doubling pause
   // between tries so a recovering host gets a moment to come back.
   auto run_leg = [&](const std::string& host, const std::string& program,
-                     std::vector<std::string> args) -> Result<int> {
-    sim::Nanos backoff = opts.retry_backoff;
-    for (int attempt = 0;; ++attempt) {
-      Result<int> rc = run_on(host, program, args);
+                     const std::vector<std::string>& args) -> Result<int> {
+    auto attempt = [&] {
+      Result<int> rc = RunTool(api, net, host, program, args, use_daemon, opts.attempt_timeout);
       record_outcome(host, rc);
-      const bool transient =
-          rc.ok() ? *rc == kToolTransient : IsTransientErrno(rc.error());
-      if (!transient || attempt + 1 >= opts.attempts) return rc;
+      return rc;
+    };
+    int tries = 1;
+    auto again = [&](const Result<int>& rc) {
+      const bool transient = rc.ok() ? *rc == kToolTransient : IsTransientErrno(rc.error());
+      if (!transient || tries >= opts.attempts) return false;
+      ++tries;
       metrics.Inc("migrate.retries");
-      if (backoff > 0) api.Sleep(backoff);
-      backoff *= 2;
-      if (opts.max_backoff > 0 && backoff > opts.max_backoff) {
-        backoff = opts.max_backoff;
-        metrics.Inc("migrate.backoff_capped");
-      }
-    }
+      return true;
+    };
+    return with_backoff(attempt(), opts.retry_backoff, again, attempt);
+  };
+  // Persistence for legs run while the dump set may be the only copy of the
+  // process: keep retrying a tool that refuses transiently (kToolTransient)
+  // until the attempt timeout, for as long as `worth_it()` holds.
+  auto persist = [&](Result<int> rc, auto&& worth_it, auto&& attempt) -> Result<int> {
+    const sim::Nanos give_up = api.kernel().clock().now() +
+                               (opts.attempt_timeout > 0 ? opts.attempt_timeout
+                                                         : sim::Seconds(30));
+    auto again = [&](const Result<int>& r) {
+      return r.ok() && *r == kToolTransient && api.kernel().clock().now() < give_up &&
+             worth_it();
+    };
+    return with_backoff(std::move(rc),
+                        opts.retry_backoff > 0 ? opts.retry_backoff : sim::Millis(500),
+                        again, attempt);
   };
   auto describe = [](const Result<int>& rc) -> std::string {
     if (!rc.ok()) return std::string(ErrnoName(rc.error()));
@@ -533,17 +556,12 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   };
 
   const std::string pid_str = std::to_string(pid);
-  const std::string dump_dir =
-      from_host == local ? std::string("/usr/tmp") : "/n/" + from_host + "/usr/tmp";
-  const DumpPaths dump_paths = DumpPaths::For(pid, dump_dir);
-  sim::SpanLog* spans = api.kernel().spans();
+  const DumpPaths dump_paths = DumpPaths::For(pid, DumpDir(local, from_host));
+  // Every migrate is one distributed trace: the id travels with every remote
+  // command (rsh/daemon spawn options), onto the SIGDUMP victim, and into the
+  // dump metadata, so spans on every host reassemble into one tree.
+  EnsureTraceId(api);
   kernel::Proc& self = api.proc();
-  if (self.trace_id == 0 && spans != nullptr) {
-    // Every migrate is one distributed trace: the id travels with every remote
-    // command (rsh/daemon spawn options), onto the SIGDUMP victim, and into
-    // the dump metadata, so spans on every host reassemble into one tree.
-    self.trace_id = spans->MintTraceId();
-  }
   // Failures/fallbacks are tagged with the trace id and failing phase — the
   // same pair the flight-recorder post-mortems carry, so a complaint greps
   // straight to its post-mortem.
@@ -556,6 +574,13 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
       recorder->Dump(local, self.trace_id, reason + " phase=" + phase);
     }
   };
+  // A complaint on stderr plus its post-mortem (whose reason defaults to the
+  // complaint itself).
+  auto note = [&](const char* phase, const std::string& complaint,
+                  const std::string& reason = {}) {
+    Complain(api, "migrate: " + complaint + tag(phase));
+    postmortem(phase, reason.empty() ? complaint : reason);
+  };
   // Root span for the whole command; its self time (network round trips, waits on
   // the remote tools) is reported as "other" in the run report.
   kernel::TraceSpan total(api.kernel(), self, "migrate");
@@ -563,21 +588,24 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   // attributed to the host the process landed on, so a destination that gets
   // slow at receiving processes shows up on its own series.
   const sim::Nanos e2e_start = api.kernel().clock().now();
-  auto observe_e2e = [&] {
+  auto committed = [&] {
+    if (opts.transactional) RemoveDumpSet(api, dump_paths);
     sim::HealthMonitor* monitor = net.health_monitor();
     if (monitor != nullptr && monitor->enabled()) {
       monitor->Observe(to_host, "migrate.e2e_ns",
                        static_cast<double>(api.kernel().clock().now() - e2e_start));
     }
+    return kToolOk;
   };
 
   std::vector<std::string> dump_args = {"-p", pid_str};
   if (opts.transactional) dump_args.push_back("--tx");
   if (opts.cached) dump_args.push_back("--incremental");
+  auto dump = [&] { return run_leg(from_host, "dumpproc", dump_args); };
   Result<int> rc = Errno::kIo;
   {
     kernel::TraceSpan phase(api.kernel(), self, "dump");
-    rc = run_leg(from_host, "dumpproc", dump_args);
+    rc = dump();
   }
   // A transient dump failure can leave the process already dead with the dump
   // set as its only copy: the kernel's asynchronous dump may complete (and
@@ -585,8 +613,8 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   // may hit a full disk after the kill. dumpproc's resume path makes a retry
   // idempotent — ESRCH with the files present picks the set back up and
   // finishes the rewrite — so when the process is gone, persist like the
-  // fallback-restart loop does rather than walking away (or worse, sweeping
-  // up the process itself). A transient failure with the process still alive
+  // fallback restart does rather than walking away (or worse, sweeping up
+  // the process itself). A transient failure with the process still alive
   // keeps failing fast: the process is unharmed and the caller's own retry
   // policy (e.g. an evacuation sweeping round-robin) stays in charge.
   auto source_proc_alive = [&]() -> bool {
@@ -596,45 +624,22 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
     return p != nullptr && p->Alive();
   };
   if (opts.transactional && rc.ok() && *rc == kToolTransient && !source_proc_alive()) {
-    sim::Nanos backoff = opts.retry_backoff > 0 ? opts.retry_backoff : sim::Millis(500);
-    const sim::Nanos give_up = api.kernel().clock().now() +
-                               (opts.attempt_timeout > 0 ? opts.attempt_timeout
-                                                         : sim::Seconds(30));
     kernel::TraceSpan phase(api.kernel(), self, "dump");
-    while (rc.ok() && *rc == kToolTransient && api.kernel().clock().now() < give_up &&
-           !source_proc_alive()) {
-      api.Sleep(backoff);
-      backoff *= 2;
-      if (opts.max_backoff > 0 && backoff > opts.max_backoff) {
-        backoff = opts.max_backoff;
-        metrics.Inc("migrate.backoff_capped");
-      }
-      rc = run_leg(from_host, "dumpproc", dump_args);
-    }
+    rc = persist(rc, [&] { return !source_proc_alive(); }, dump);
   }
   if (!rc.ok() || *rc != 0) {
-    Complain(api, "migrate: dumpproc on " + from_host + " failed (" + describe(rc) + ")" +
-                      tag("dump"));
-    postmortem("dump", "dumpproc on " + from_host + " failed (" + describe(rc) + ")");
+    note("dump", "dumpproc on " + from_host + " failed (" + describe(rc) + ")");
     if (opts.transactional) {
       // GC the partial set — unless the process is no longer alive and the
       // files are: then the set IS the process, and deleting it is the loss
       // this whole protocol exists to prevent. Leave it for a later migrate
       // or the orphan reaper.
-      bool proc_alive = false;
-      if (kernel::Kernel* src = net.FindHost(from_host);
-          src != nullptr && !src->down()) {
-        kernel::Proc* p = src->FindAnyProc(pid);
-        proc_alive = p != nullptr && p->Alive();
-      }
-      if (!proc_alive && FileExists(api, dump_paths.aout)) {
-        Complain(api, "migrate: " + pid_str +
-                          " is gone but its dump set remains; leaving the set" +
-                          tag("dump"));
-        postmortem("dump", "dump set for " + pid_str + " kept: it is the process now");
+      if (!source_proc_alive() && FileExists(api, dump_paths.aout)) {
+        note("dump", pid_str + " is gone but its dump set remains; leaving the set",
+             "dump set for " + pid_str + " kept: it is the process now");
         return kToolTransient;
       }
-      CleanupDumpFiles(api, dump_paths);
+      RemoveDumpSet(api, dump_paths);
     }
     return rc.ok() ? *rc : kTransportFailure;
   }
@@ -645,11 +650,8 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
     kernel::TraceSpan phase(api.kernel(), self, "restart");
     rc = run_leg(to_host, "restart", restart_args);
   }
-  if (rc.ok() && *rc == 0) {
-    if (opts.transactional) CleanupDumpFiles(api, dump_paths);
-    observe_e2e();
-    return kToolOk;
-  }
+  if (rc.ok() && *rc == 0) return committed();
+
   // kToolClaimed normally means "somebody's restart won the claim and the
   // process is running" — but a claimant that is down or cut off by a
   // partition may have died between claiming and committing, and GCing the
@@ -659,11 +661,9 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   // files, report transient, and let the orphan reaper disambiguate after the
   // heal.
   auto claim_holder_reachable = [&]() -> bool {
-    const DumpMarker claim = ReadClaimMarker(api, dump_paths);
+    const DumpMarker claim = ReadDumpMarker(api, dump_paths.claim);
     if (claim.host.empty()) return true;  // no metadata: assume a live claimant
-    kernel::Kernel* holder = net.FindHost(claim.host);
-    if (holder == nullptr || holder->down()) return false;
-    return net.Reachable(local, claim.host, &metrics);
+    return HolderReachable(net, local, claim.host, &metrics);
   };
   // Whether the claim holder actually committed: a live process on the holder
   // carrying this dump's identity. A reachable holder with no such process is
@@ -671,7 +671,7 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   // cut the link, whose release (an unlink over that same dead link) failed
   // too. Sweeping on the claim alone would destroy the only copy.
   auto claim_consumed = [&]() -> bool {
-    const DumpMarker claim = ReadClaimMarker(api, dump_paths);
+    const DumpMarker claim = ReadDumpMarker(api, dump_paths.claim);
     const std::string holder_host = claim.host.empty() ? to_host : claim.host;
     kernel::Kernel* holder = net.FindHost(holder_host);
     if (holder == nullptr || holder->down()) return false;
@@ -680,36 +680,38 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
     }
     return false;
   };
-  if (opts.transactional && rc.ok() && *rc == kToolClaimed) {
+  // The one claim resolution. An unreachable holder may be running the process
+  // on the far side of a partition: hands off. A reachable holder is not yet a
+  // committed one — wait a beat for an in-flight winner to finish reading the
+  // files, then look for its process. No process behind the claim means the
+  // claimant died between claiming and committing (its release unlink died on
+  // the same cut link): break the stale claim so a restart can win it again.
+  enum class ClaimVerdict { kHolderUnreachable, kConsumed, kBroken };
+  auto resolve_claim = [&](const char* phase, const char* unreachable_action) {
     if (!claim_holder_reachable()) {
-      Complain(api, "migrate: dump of " + pid_str +
-                        " is claimed by an unreachable host; leaving the set" +
-                        tag("restart"));
-      postmortem("restart", "claim holder for " + pid_str + " unreachable");
-      return kToolTransient;
+      note(phase,
+           "dump of " + pid_str + " is claimed by an unreachable host; " + unreachable_action,
+           "claim holder for " + pid_str + " unreachable");
+      return ClaimVerdict::kHolderUnreachable;
     }
-    // A racing attempt won the claim and may be consuming the dump right now.
-    // Give the winner a beat to finish reading the files, then sweep up — but
-    // only once its process is actually running. No process behind the claim
-    // means the claimant died between claiming and committing: break the stale
-    // claim and fall through to the fallback restart below, which can now win.
     api.Sleep(sim::Seconds(1));
-    if (claim_consumed()) {
-      CleanupDumpFiles(api, dump_paths);
-      observe_e2e();
-      return kToolOk;
-    }
-    Complain(api, "migrate: stale claim on " + pid_str +
-                      " (holder has no such process); breaking it" + tag("restart"));
-    postmortem("restart", "stale claim on " + pid_str + " broken");
+    if (claim_consumed()) return ClaimVerdict::kConsumed;
+    note(phase, "stale claim on " + pid_str + " (holder has no such process); breaking it",
+         "stale claim on " + pid_str + " broken");
     metrics.Inc("migrate.stale_claims_broken");
     const Status broke = api.Unlink(dump_paths.claim);
     (void)broke;
+    return ClaimVerdict::kBroken;
+  };
+  if (opts.transactional && rc.ok() && *rc == kToolClaimed) {
+    // A racing attempt won the claim. A broken stale claim falls through to the
+    // fallback restart below, which can now win it.
+    const ClaimVerdict verdict = resolve_claim("restart", "leaving the set");
+    if (verdict == ClaimVerdict::kHolderUnreachable) return kToolTransient;
+    if (verdict == ClaimVerdict::kConsumed) return committed();
   }
   if (!opts.transactional) {
-    Complain(api, "migrate: restart on " + to_host + " failed (" + describe(rc) + ")" +
-                      tag("restart"));
-    postmortem("restart", "restart on " + to_host + " failed (" + describe(rc) + ")");
+    note("restart", "restart on " + to_host + " failed (" + describe(rc) + ")");
     return rc.ok() ? *rc : kTransportFailure;
   }
 
@@ -718,68 +720,37 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   // the host it came from — a migration that merely fails to move beats one
   // that loses its subject. Only after a fallback restart is alive may the
   // dump files be declared garbage.
-  Complain(api, "migrate: restart on " + to_host + " failed (" + describe(rc) +
-                    "); restarting on " + from_host + tag("restart"));
-  postmortem("restart", "restart on " + to_host + " failed (" + describe(rc) +
-                            "); falling back to " + from_host);
-  if (!FileExists(api, dump_paths.aout) || !FileExists(api, dump_paths.files) ||
-      !FileExists(api, dump_paths.stack)) {
-    Complain(api, "migrate: dump files for " + pid_str + " are gone; cannot fall back" +
-                      tag("fallback"));
-    postmortem("fallback", "dump files for " + pid_str + " are gone; cannot fall back");
+  note("restart",
+       "restart on " + to_host + " failed (" + describe(rc) + "); restarting on " + from_host,
+       "restart on " + to_host + " failed (" + describe(rc) + "); falling back to " +
+           from_host);
+  auto dump_set_intact = [&] {
+    return FileExists(api, dump_paths.aout) && FileExists(api, dump_paths.files) &&
+           FileExists(api, dump_paths.stack);
+  };
+  if (!dump_set_intact()) {
+    note("fallback", "dump files for " + pid_str + " are gone; cannot fall back");
     return kToolFail;
   }
   kernel::TraceSpan phase(api.kernel(), self, "restart");
-  rc = run_leg(from_host, "restart",
-               {"-p", pid_str, "-h", from_host, "--claim"});
+  auto fallback_restart = [&] {
+    return run_leg(from_host, "restart", {"-p", pid_str, "-h", from_host, "--claim"});
+  };
   // The fallback is the never-lose path. While the dump set is intact and the
   // failures are transient (e.g. the source disk is still inside a full window,
   // so nobody can write the claim file next to the dump), keep trying until the
   // attempt timeout: the files are the process, and walking away from them over
   // a condition that will pass turns a stuck disk into a lost process.
-  {
-    sim::Nanos backoff = opts.retry_backoff > 0 ? opts.retry_backoff : sim::Millis(500);
-    const sim::Nanos give_up = api.kernel().clock().now() +
-                               (opts.attempt_timeout > 0 ? opts.attempt_timeout
-                                                         : sim::Seconds(30));
-    while (rc.ok() && *rc == kToolTransient && api.kernel().clock().now() < give_up &&
-           FileExists(api, dump_paths.aout) && FileExists(api, dump_paths.files) &&
-           FileExists(api, dump_paths.stack)) {
-      api.Sleep(backoff);
-      backoff *= 2;
-      if (opts.max_backoff > 0 && backoff > opts.max_backoff) {
-        backoff = opts.max_backoff;
-        metrics.Inc("migrate.backoff_capped");
-      }
-      rc = run_leg(from_host, "restart", {"-p", pid_str, "-h", from_host, "--claim"});
-    }
-  }
+  rc = persist(fallback_restart(), dump_set_intact, fallback_restart);
   if (rc.ok() && *rc == kToolClaimed) {
-    if (!claim_holder_reachable()) {
-      // The target claimed the dump before the link went away: it may be
-      // running the process right now, on the far side of the partition. A
-      // fallback restart here would be the double-resurrection this protocol
-      // exists to prevent; leave the set for the reaper to settle post-heal.
-      Complain(api, "migrate: dump of " + pid_str +
-                        " is claimed by an unreachable host; not falling back" +
-                        tag("fallback"));
-      postmortem("fallback", "claim holder for " + pid_str + " unreachable");
-      return kToolTransient;
-    }
-    // The holder is reachable — but reachable is not committed. Wait a beat
-    // for an in-flight winner, then verify a live copy exists behind the
-    // claim. A claim with no process is the debris of a restart the partition
-    // killed mid-copy (its release unlink died on the same cut link): break
-    // it and retry the fallback, which can now win the claim itself.
-    api.Sleep(sim::Seconds(1));
-    if (!claim_consumed()) {
-      Complain(api, "migrate: stale claim on " + pid_str +
-                        " (holder has no such process); breaking it" + tag("fallback"));
-      postmortem("fallback", "stale claim on " + pid_str + " broken");
-      metrics.Inc("migrate.stale_claims_broken");
-      const Status broke = api.Unlink(dump_paths.claim);
-      (void)broke;
-      rc = run_leg(from_host, "restart", {"-p", pid_str, "-h", from_host, "--claim"});
+    // The target claimed the dump before the link went away: a fallback
+    // restart while it is unreachable would be the double resurrection this
+    // protocol exists to prevent, so the set is left for the reaper to settle
+    // post-heal. A broken stale claim gets one more fallback attempt.
+    const ClaimVerdict verdict = resolve_claim("fallback", "not falling back");
+    if (verdict == ClaimVerdict::kHolderUnreachable) return kToolTransient;
+    if (verdict == ClaimVerdict::kBroken) {
+      rc = fallback_restart();
       if (rc.ok() && *rc == kToolClaimed && !claim_consumed()) {
         // Claimed again and still no copy anywhere — stop second-guessing and
         // leave the set for the orphan reaper to settle.
@@ -790,29 +761,24 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   }
   if (rc.ok() && (*rc == 0 || *rc == kToolClaimed)) {
     if (*rc == kToolClaimed) {
-      const DumpMarker claim = ReadClaimMarker(api, dump_paths);
+      const DumpMarker claim = ReadDumpMarker(api, dump_paths.claim);
       if (!claim.host.empty() && claim.host != from_host) {
         // The verified winner is remote: the restart committed and only its
         // reply was lost. That is a successful migration, not a fallback.
-        CleanupDumpFiles(api, dump_paths);
-        observe_e2e();
-        return kToolOk;
+        return committed();
       }
     }
     metrics.Inc("migrate.fallback_restarts");
     postmortem("fallback", "migrate of " + pid_str + " fell back; process restarted on " +
                                from_host);
-    CleanupDumpFiles(api, dump_paths);
+    RemoveDumpSet(api, dump_paths);
     return kMigrateFellBack;
   }
-  Complain(api, "migrate: fallback restart on " + from_host + " failed (" + describe(rc) +
-                    ")" + tag("fallback"));
-  postmortem("fallback",
-             "fallback restart on " + from_host + " failed (" + describe(rc) + ")");
+  note("fallback", "fallback restart on " + from_host + " failed (" + describe(rc) + ")");
   if (rc.ok() && *rc != kToolTransient) {
     // The tool ran and rejected the dump set — it is unconsumable (corrupted,
     // truncated), so keeping it helps nobody; sweep it up.
-    CleanupDumpFiles(api, dump_paths);
+    RemoveDumpSet(api, dump_paths);
     return kToolFail;
   }
   // On a transport failure or a still-transient refusal the files stay: they
@@ -825,15 +791,11 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
 
 int Undump(kernel::SyscallApi& api, const std::string& aout_path,
            const std::string& core_path, const std::string& output_path) {
-  const Result<int> afd = api.Open(aout_path, OpenFlags::kORdOnly);
-  if (!afd.ok()) {
+  const Result<std::string> aout_bytes = api.ReadFile(aout_path);
+  if (!aout_bytes.ok()) {
     Complain(api, "undump: cannot open " + aout_path);
     return 1;
   }
-  const Result<std::string> aout_bytes = api.ReadAll(*afd);
-  const Status ac = api.Close(*afd);
-  (void)ac;
-  if (!aout_bytes.ok()) return 1;
   if (IsIncrAout(*aout_bytes)) {
     // An incremental dump is not self-contained; only restart (which can reach
     // the segment caches) can consume it.
@@ -847,15 +809,11 @@ int Undump(kernel::SyscallApi& api, const std::string& aout_path,
     return 1;
   }
 
-  const Result<int> cfd = api.Open(core_path, OpenFlags::kORdOnly);
-  if (!cfd.ok()) {
+  const Result<std::string> core_bytes = api.ReadFile(core_path);
+  if (!core_bytes.ok()) {
     Complain(api, "undump: cannot open " + core_path);
     return 1;
   }
-  const Result<std::string> core_bytes = api.ReadAll(*cfd);
-  const Status cc = api.Close(*cfd);
-  (void)cc;
-  if (!core_bytes.ok()) return 1;
   const Result<kernel::CoreFile> core = kernel::CoreFile::Parse(*core_bytes);
   if (!core.ok()) {
     Complain(api, "undump: " + core_path + " is not a core dump");
@@ -864,7 +822,7 @@ int Undump(kernel::SyscallApi& api, const std::string& aout_path,
 
   image->data = core->data;  // statics take their values at the time of death
   const std::vector<uint8_t> out = image->Serialize();
-  if (!WriteFileContents(api, output_path, std::string(out.begin(), out.end()), 0755).ok()) {
+  if (!api.WriteFile(output_path, std::string(out.begin(), out.end()), 0755).ok()) {
     Complain(api, "undump: cannot write " + output_path);
     return 1;
   }

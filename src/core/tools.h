@@ -54,6 +54,55 @@ struct MigrateOptions {
   static MigrateOptions Robust();
 };
 
+// --- The move protocol's shared pieces ----------------------------------------
+//
+// migrate, the orphan reaper, the checkpointer and the pre-copy transport all
+// speak one protocol; each of its steps lives here exactly once.
+
+// The directory holding dump sets on `host`, as seen from `local`: /usr/tmp,
+// or its /n/<host> name when the host is remote. Empty `host` means local.
+std::string DumpDir(const std::string& local, const std::string& host);
+
+// Reads a transaction marker (readyXXXXX or claimXXXXX). Empty host and
+// at = -1 when the marker is missing, unreadable (e.g. across a partition), or
+// from a pre-metadata writer.
+DumpMarker ReadDumpMarker(kernel::SyscallApi& api, const std::string& path);
+
+// Removes every file of a dump set, ignoring files that are not there. Used on
+// the success path (the dump has been consumed), on every failure path (a
+// half-written or unconsumable dump must not survive as an orphan), and by the
+// reaper's collections.
+void RemoveDumpSet(kernel::SyscallApi& api, const DumpPaths& paths);
+
+// Runs one migration tool to completion on `host`: spawn + wait when `host`
+// is this machine, otherwise through the migration daemon (`use_daemon`) or
+// rsh, bounded by `timeout` (0 = the transport's default). Returns the tool's
+// exit status — 0 for a restart that overlaid itself with the process — or
+// the transport's error.
+Result<int> RunTool(kernel::SyscallApi& api, net::Network& net, const std::string& host,
+                    const std::string& program, std::vector<std::string> args,
+                    bool use_daemon, sim::Nanos timeout);
+
+// Whether a claim's holder is up and reachable from `local`: the exactly-once
+// rule never sweeps or re-drives a claimed dump set while its holder cannot be
+// observed. `metrics`, when given, books the reachability probe.
+bool HolderReachable(net::Network& net, const std::string& local, const std::string& holder,
+                     sim::MetricsRegistry* metrics = nullptr);
+
+// Starts a distributed trace for the calling process unless it already
+// carries one (migrate threads its id into every tool it spawns) or spans are
+// disabled.
+void EnsureTraceId(kernel::SyscallApi& api);
+
+// Rebuilds a restarting process's fd table from its filesXXXXX image. Slots
+// [0, slots) must be free: each is reopened in order so every file lands on its
+// original descriptor number at its saved offset (unreopenable stdio gets the
+// terminal; unused slots, sockets and unreopenable files get /dev/null, and
+// unused slots are closed again afterwards). Then the saved terminal flags are
+// applied to the current terminal. False when a descriptor landed on the wrong
+// slot (the fd-table invariant broke) or /dev/null could not be opened.
+bool RestoreFdTable(kernel::SyscallApi& api, const FilesFile& files, int slots);
+
 // Userland realpath: resolves every symbolic link in `path` with readlink(),
 // iteratively, as Section 4.3 prescribes for dump-file rewriting. Does not require
 // the final component to exist if the parent chain does.

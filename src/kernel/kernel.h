@@ -474,6 +474,10 @@ class SyscallApi : public vfs::CostSink {
   Result<std::string> Read(int fd, int64_t max);       // "" means EOF
   Result<std::string> ReadLine(int fd);                // convenience: reads to '\n'
   Result<std::string> ReadAll(int fd);                 // convenience: reads to EOF
+  // Convenience: open + ReadAll + close. Errors are the open's or the read's.
+  Result<std::string> ReadFile(std::string_view path);
+  // Convenience: creat + one write + close (truncating an existing file).
+  Status WriteFile(std::string_view path, std::string_view contents, uint16_t mode);
   Result<int64_t> Write(int fd, std::string_view data);
   Result<int64_t> Lseek(int fd, int64_t offset, int whence);
   Result<int> Dup(int fd);
@@ -529,6 +533,14 @@ class SyscallApi : public vfs::CostSink {
   // Common syscall prologue/epilogue for native processes.
   void EnterSyscall();
   void FinishSyscall();
+  // One system call: the prologue, the kernel's work `fn(proc)`, the epilogue.
+  template <typename Fn>
+  auto Syscall(Fn&& fn) {
+    EnterSyscall();
+    auto result = fn(proc());
+    FinishSyscall();
+    return result;
+  }
   void YieldIfPreempted();
 
   Kernel* kernel_;

@@ -1213,24 +1213,15 @@ bool SyscallApi::BlockUntilFor(std::function<bool()> check, sim::Nanos timeout) 
 }
 
 Result<int> SyscallApi::Open(std::string_view path, int32_t flags, uint16_t mode) {
-  EnterSyscall();
-  const Result<int> fd = kernel_->SysOpen(proc(), path, flags, mode);
-  FinishSyscall();
-  return fd;
+  return Syscall([&](Proc& p) { return kernel_->SysOpen(p, path, flags, mode); });
 }
 
 Result<int> SyscallApi::Creat(std::string_view path, uint16_t mode) {
-  EnterSyscall();
-  const Result<int> fd = kernel_->SysCreat(proc(), path, mode);
-  FinishSyscall();
-  return fd;
+  return Syscall([&](Proc& p) { return kernel_->SysCreat(p, path, mode); });
 }
 
 Status SyscallApi::Close(int fd) {
-  EnterSyscall();
-  const Status st = kernel_->SysClose(proc(), fd);
-  FinishSyscall();
-  return st;
+  return Syscall([&](Proc& p) { return kernel_->SysClose(p, fd); });
 }
 
 Result<std::string> SyscallApi::Read(int fd, int64_t max) {
@@ -1274,130 +1265,95 @@ Result<std::string> SyscallApi::ReadAll(int fd) {
   }
 }
 
+Result<std::string> SyscallApi::ReadFile(std::string_view path) {
+  PMIG_TRY(int fd, Open(path, OpenFlags::kORdOnly));
+  Result<std::string> bytes = ReadAll(fd);
+  const Status closed = Close(fd);
+  (void)closed;
+  return bytes;
+}
+
+Status SyscallApi::WriteFile(std::string_view path, std::string_view contents,
+                             uint16_t mode) {
+  PMIG_TRY(int fd, Creat(path, mode));
+  const Result<int64_t> n = Write(fd, contents);
+  const Status closed = Close(fd);
+  (void)closed;
+  if (!n.ok()) return n.error();
+  return Status::Ok();
+}
+
 Result<int64_t> SyscallApi::Write(int fd, std::string_view data) {
-  EnterSyscall();
-  const Result<int64_t> n = kernel_->SysWrite(proc(), fd, data);
-  FinishSyscall();
-  return n;
+  return Syscall([&](Proc& p) { return kernel_->SysWrite(p, fd, data); });
 }
 
 Result<int64_t> SyscallApi::Lseek(int fd, int64_t offset, int whence) {
-  EnterSyscall();
-  const Result<int64_t> n = kernel_->SysLseek(proc(), fd, offset, whence);
-  FinishSyscall();
-  return n;
+  return Syscall([&](Proc& p) { return kernel_->SysLseek(p, fd, offset, whence); });
 }
 
 Result<int> SyscallApi::Dup(int fd) {
-  EnterSyscall();
-  const Result<int> n = kernel_->SysDup(proc(), fd);
-  FinishSyscall();
-  return n;
+  return Syscall([&](Proc& p) { return kernel_->SysDup(p, fd); });
 }
 
 Status SyscallApi::Chdir(std::string_view path) {
-  EnterSyscall();
-  const Status st = kernel_->SysChdir(proc(), path);
-  FinishSyscall();
-  return st;
+  return Syscall([&](Proc& p) { return kernel_->SysChdir(p, path); });
 }
 
 Result<std::string> SyscallApi::GetCwd() {
-  EnterSyscall();
-  const Result<std::string> cwd = kernel_->SysGetCwd(proc());
-  FinishSyscall();
-  return cwd;
+  return Syscall([&](Proc& p) { return kernel_->SysGetCwd(p); });
 }
 
 Result<std::string> SyscallApi::Readlink(std::string_view path) {
-  EnterSyscall();
-  const Result<std::string> target = kernel_->SysReadlink(proc(), path);
-  FinishSyscall();
-  return target;
+  return Syscall([&](Proc& p) { return kernel_->SysReadlink(p, path); });
 }
 
 Result<StatInfo> SyscallApi::Stat(std::string_view path) {
-  EnterSyscall();
-  const Result<StatInfo> info = kernel_->SysStat(proc(), path, /*follow=*/true);
-  FinishSyscall();
-  return info;
+  return Syscall([&](Proc& p) { return kernel_->SysStat(p, path, /*follow=*/true); });
 }
 
 Result<StatInfo> SyscallApi::LStat(std::string_view path) {
-  EnterSyscall();
-  const Result<StatInfo> info = kernel_->SysStat(proc(), path, /*follow=*/false);
-  FinishSyscall();
-  return info;
+  return Syscall([&](Proc& p) { return kernel_->SysStat(p, path, /*follow=*/false); });
 }
 
 Result<std::vector<std::string>> SyscallApi::ReadDir(std::string_view path) {
-  EnterSyscall();
-  Result<std::vector<std::string>> names = kernel_->SysReadDir(proc(), path);
-  FinishSyscall();
-  return names;
+  return Syscall([&](Proc& p) { return kernel_->SysReadDir(p, path); });
 }
 
 Status SyscallApi::Unlink(std::string_view path) {
-  EnterSyscall();
-  const Status st = kernel_->SysUnlink(proc(), path);
-  FinishSyscall();
-  return st;
+  return Syscall([&](Proc& p) { return kernel_->SysUnlink(p, path); });
 }
 
 Status SyscallApi::Link(std::string_view oldpath, std::string_view newpath) {
-  EnterSyscall();
-  const Status st = kernel_->SysLink(proc(), oldpath, newpath);
-  FinishSyscall();
-  return st;
+  return Syscall([&](Proc& p) { return kernel_->SysLink(p, oldpath, newpath); });
 }
 
 Status SyscallApi::Mkdir(std::string_view path, uint16_t mode) {
-  EnterSyscall();
-  const Status st = kernel_->SysMkdir(proc(), path, mode);
-  FinishSyscall();
-  return st;
+  return Syscall([&](Proc& p) { return kernel_->SysMkdir(p, path, mode); });
 }
 
 Status SyscallApi::Rmdir(std::string_view path) {
-  EnterSyscall();
-  const Status st = kernel_->SysRmdir(proc(), path);
-  FinishSyscall();
-  return st;
+  return Syscall([&](Proc& p) { return kernel_->SysRmdir(p, path); });
 }
 
 Status SyscallApi::Rename(std::string_view oldpath, std::string_view newpath) {
-  EnterSyscall();
-  const Status st = kernel_->SysRename(proc(), oldpath, newpath);
-  FinishSyscall();
-  return st;
+  return Syscall([&](Proc& p) { return kernel_->SysRename(p, oldpath, newpath); });
 }
 
 Status SyscallApi::Kill(int32_t target_pid, int signo) {
-  EnterSyscall();
-  const Status st = kernel_->SysKill(proc(), target_pid, signo);
-  FinishSyscall();
-  return st;
+  return Syscall([&](Proc& p) { return kernel_->SysKill(p, target_pid, signo); });
 }
 
 Status SyscallApi::SetDumpMode(int32_t target_pid, bool incremental) {
-  EnterSyscall();
-  const Status st = kernel_->SysSetDumpMode(proc(), target_pid, incremental);
-  FinishSyscall();
-  return st;
+  return Syscall(
+      [&](Proc& p) { return kernel_->SysSetDumpMode(p, target_pid, incremental); });
 }
 
 Result<bool> SyscallApi::DumpFailed(int32_t target_pid) {
-  EnterSyscall();
-  const Result<bool> r = kernel_->SysDumpFailed(proc(), target_pid);
-  FinishSyscall();
-  return r;
+  return Syscall([&](Proc& p) { return kernel_->SysDumpFailed(p, target_pid); });
 }
 
 Status SyscallApi::SetReUid(int32_t ruid, int32_t euid) {
-  EnterSyscall();
-  const Status st = kernel_->SysSetReUid(proc(), ruid, euid);
-  FinishSyscall();
-  return st;
+  return Syscall([&](Proc& p) { return kernel_->SysSetReUid(p, ruid, euid); });
 }
 
 int32_t SyscallApi::GetPid() {
@@ -1417,17 +1373,11 @@ std::string SyscallApi::GetHostname() {
 }
 
 Result<uint16_t> SyscallApi::TtyGetFlags(int fd) {
-  EnterSyscall();
-  const Result<uint16_t> flags = kernel_->SysTtyGet(proc(), fd);
-  FinishSyscall();
-  return flags;
+  return Syscall([&](Proc& p) { return kernel_->SysTtyGet(p, fd); });
 }
 
 Status SyscallApi::TtySetFlags(int fd, uint16_t flags) {
-  EnterSyscall();
-  const Status st = kernel_->SysTtySet(proc(), fd, flags);
-  FinishSyscall();
-  return st;
+  return Syscall([&](Proc& p) { return kernel_->SysTtySet(p, fd, flags); });
 }
 
 void SyscallApi::Sleep(sim::Nanos duration) {

@@ -14,7 +14,6 @@ int MigrationDaemonMain(kernel::SyscallApi& api, SpawnService* service) {
     kernel::SpawnOptions opts;
     opts.creds = req->creds;
     opts.tty = nullptr;
-    opts.cwd = "/";
     opts.ppid = api.GetPid();
     opts.trace_id = req->trace_id;
     opts.trace_parent_span = req->trace_parent_span;
@@ -39,28 +38,11 @@ Result<int> DaemonExec(kernel::SyscallApi& api, Network& net, std::string_view h
   if (remote == nullptr || remote->down()) return Errno::kHostUnreach;
 
   kernel::Kernel& local = api.kernel();
-  if (local.metrics().enabled()) {
-    local.metrics().Inc("net.daemon_connections");
-    local.metrics().Inc("net.messages." + local.hostname() + "->" + std::string(host));
-  }
-
-  {
-    // TCP connect + request marshalling to the well-known port: cheap, unlike rsh.
-    kernel::TraceSpan setup(local, api.proc(), "setup");
-    api.Sleep(net.costs().daemon_request);
-  }
-  // The host may have crashed during connect, a partition may cut the link
-  // (EHOSTUNREACH — the request never reaches the daemon, so there is no
-  // split-brain risk on this path), or the request may be lost on the wire
-  // (injected transient fault).
-  if (remote->down()) return Errno::kHostUnreach;
-  if (!net.Reachable(local.hostname(), remote->hostname(), &local.metrics())) {
-    return Errno::kHostUnreach;
-  }
-  if (sim::FaultInjector* f = net.faults();
-      f != nullptr && f->NetSendFails(&local.metrics())) {
-    return Errno::kTimedOut;
-  }
+  // TCP connect + request marshalling to the well-known port: cheap, unlike
+  // rsh. A partition fails the connect before the request reaches the daemon,
+  // so there is no split-brain risk on this path.
+  PMIG_RETURN_IF_ERROR(Connect(api, net, *remote, "net.daemon_connections",
+                               net.costs().daemon_request));
 
   auto req = std::make_shared<SpawnService::Request>();
   req->program = program;

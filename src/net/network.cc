@@ -37,4 +37,26 @@ void Network::PublishLoad(const LoadObservation& obs) {
   }
 }
 
+Status Connect(kernel::SyscallApi& api, Network& net, kernel::Kernel& remote,
+               const char* connections, sim::Nanos setup) {
+  kernel::Kernel& local = api.kernel();
+  sim::MetricsRegistry& metrics = local.metrics();
+  if (metrics.enabled()) {
+    metrics.Inc(connections);
+    metrics.Inc("net.messages." + local.hostname() + "->" + remote.hostname());
+  }
+  {
+    kernel::TraceSpan span(local, api.proc(), "setup");
+    api.Sleep(setup);
+  }
+  if (remote.down()) return Errno::kHostUnreach;
+  if (!net.Reachable(local.hostname(), remote.hostname(), &metrics)) {
+    return Errno::kHostUnreach;
+  }
+  if (sim::FaultInjector* f = net.faults(); f != nullptr && f->NetSendFails(&metrics)) {
+    return Errno::kTimedOut;
+  }
+  return Status::Ok();
+}
+
 }  // namespace pmig::net

@@ -139,6 +139,15 @@ class Network {
   uint64_t next_observer_id_ = 1;
 };
 
+// The connect leg every remote command starts with (rsh and the migration
+// daemon): books the connection under the `connections` counter plus the
+// request message, pays `setup` of virtual time under a "setup" span, then
+// fails as a real connect would — EHOSTUNREACH when `remote` went down
+// meanwhile or a partition cuts the link, ETIMEDOUT when an injected fault
+// loses the request on the wire.
+Status Connect(kernel::SyscallApi& api, Network& net, kernel::Kernel& remote,
+               const char* connections, sim::Nanos setup);
+
 }  // namespace pmig::net
 
 #endif  // PMIG_SRC_NET_NETWORK_H_

@@ -13,29 +13,12 @@ Result<int> Rsh(kernel::SyscallApi& api, Network& net, std::string_view host,
 
   kernel::Kernel& local = api.kernel();
   sim::MetricsRegistry& metrics = local.metrics();
-  if (metrics.enabled()) {
-    metrics.Inc("net.rsh_connections");
-    metrics.Inc("net.messages." + local.hostname() + "->" + remote->hostname());
-  }
-
-  {
-    // Connection establishment: privileged port, reverse lookup, hosts.equiv, rshd
-    // fork. Pure real time — the caller's CPU is idle.
-    kernel::TraceSpan setup(local, api.proc(), "setup");
-    api.Sleep(net.costs().rsh_setup);
-  }
-  // The host may have crashed while we were connecting, a partition may cut
-  // the link (connect timeout, surfaced as EHOSTUNREACH like a dead host), or
-  // the request may be lost on the wire (injected transient fault —
-  // indistinguishable from a dropped packet, so it reports as a timeout).
-  if (remote->down()) return Errno::kHostUnreach;
-  if (!net.Reachable(local.hostname(), remote->hostname(), &metrics)) {
-    return Errno::kHostUnreach;
-  }
-  if (sim::FaultInjector* f = net.faults();
-      f != nullptr && f->NetSendFails(&metrics)) {
-    return Errno::kTimedOut;
-  }
+  // Connection establishment: privileged port, reverse lookup, hosts.equiv,
+  // rshd fork. Pure real time — the caller's CPU is idle. A partition cuts it
+  // like a connect timeout; a lost request is indistinguishable from a dropped
+  // packet.
+  PMIG_RETURN_IF_ERROR(Connect(api, net, *remote, "net.rsh_connections",
+                               net.costs().rsh_setup));
 
   // The remote command gets a network pipe for stdio, not a terminal.
   auto stdin_ch = std::make_shared<kernel::Channel>();
@@ -45,7 +28,6 @@ Result<int> Rsh(kernel::SyscallApi& api, Network& net, std::string_view host,
   kernel::SpawnOptions spawn_opts;
   spawn_opts.creds = kernel::Credentials{api.GetUid(), 0, api.GetEuid(), 0};
   spawn_opts.tty = nullptr;
-  spawn_opts.cwd = "/";
   spawn_opts.ppid = 0;  // child of the (unmodelled) remote rshd
   // The remote command runs in the caller's distributed-trace context: its
   // spans become children of whatever span the caller is inside right now.

@@ -655,11 +655,11 @@ TEST(ClusterIndex, NightShiftPicksDayHostThroughEngine) {
   apps::NightShiftStats stats;
   net::Network* net = &world.cluster().network();
   RunSystem(world, "brick", [net, &stats](SyscallApi& api) {
-    apps::NightShiftOptions options;
+    apps::NightShiftOptions ns;
     // day_host left empty: the engine chooses the least-occupied live host.
-    options.night_length = sim::Seconds(30);
-    options.nights = 1;
-    stats = apps::RunNightShift(api, *net, options);
+    ns.night_length = sim::Seconds(30);
+    ns.nights = 1;
+    stats = apps::RunNightShift(api, *net, ns);
     return 0;
   });
   EXPECT_EQ(stats.day_host, "schooner");  // idle, first in network order

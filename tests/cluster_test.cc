@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "src/apps/load_balancer.h"
 #include "tests/test_util.h"
 
 namespace pmig {
@@ -144,6 +147,39 @@ TEST(Cluster, PerHostKernelStats) {
   ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
   EXPECT_GT(world.host("brick").stats().syscalls, 0);
   EXPECT_GT(world.host("brick").stats().procs_spawned, 0);
+}
+
+// Teardown order: a coordinator still blocked inside the cluster holds a
+// ClusterIndex on its native stack, and unwinding it unregisters the index
+// from the Network. The hosts (and the tasks they run) must therefore go down
+// before the network does; the reverse order is a use-after-free that the
+// address-sanitizer build reports.
+TEST(Cluster, DestroyedWhileEventDrivenBalancerIsBlocked) {
+  WorldOptions options;
+  options.num_hosts = 16;
+  options.sample_period = sim::Millis(500);
+  auto world = std::make_unique<World>(options);
+  // One long job: the cluster stays below the imbalance threshold, so the
+  // balancer parks in its event-driven wait instead of exiting.
+  world->StartVm("brick", "/bin/hog", {"hog", "200000000"});
+  net::Network* net = &world->cluster().network();
+  kernel::SpawnOptions root;
+  root.cwd = "/";
+  const int32_t balancer = world->host("brick").SpawnNative(
+      "balancer",
+      [net](kernel::SyscallApi& api) {
+        apps::LoadBalancerOptions lb;
+        lb.event_driven = true;
+        lb.max_idle = sim::Seconds(3600);
+        apps::RunLoadBalancer(api, *net, lb);
+        return 0;
+      },
+      root);
+  world->cluster().RunFor(sim::Seconds(2));
+  const kernel::Proc* p = world->host("brick").FindProc(balancer);
+  ASSERT_NE(p, nullptr);
+  ASSERT_EQ(p->state, kernel::ProcState::kBlocked);
+  world.reset();
 }
 
 }  // namespace

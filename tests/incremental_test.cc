@@ -539,9 +539,9 @@ std::string RunCachedChaos(uint64_t seed) {
     const int32_t mig = world.host("brick").SpawnNative(
         "migrate",
         [rc, net, pid, target](SyscallApi& api) {
-          core::MigrateOptions opts = core::MigrateOptions::Robust();
-          opts.cached = true;
-          *rc = core::Migrate(api, *net, pid, "brick", target, /*use_daemon=*/false, opts);
+          core::MigrateOptions mopts = core::MigrateOptions::Robust();
+          mopts.cached = true;
+          *rc = core::Migrate(api, *net, pid, "brick", target, /*use_daemon=*/false, mopts);
           return *rc;
         },
         opts);

@@ -21,6 +21,7 @@
 #include "src/apps/load_balancer.h"
 #include "src/apps/night_shift.h"
 #include "src/apps/placement.h"
+#include "src/apps/recovery.h"
 #include "src/core/dump_format.h"
 #include "src/core/test_programs.h"
 #include "src/sim/fault_history.h"
@@ -424,11 +425,11 @@ TEST(NightShift, DownNightHostStrandsJobsVisiblyAndGetsNoAttempts) {
   apps::NightShiftStats stats;
   net::Network* net = &world.cluster().network();
   RunSystem(world, "brick", [net, &stats](SyscallApi& api) {
-    apps::NightShiftOptions options;
-    options.day_host = "brick";
-    options.night_length = sim::Seconds(30);
-    options.nights = 1;
-    stats = apps::RunNightShift(api, *net, options);
+    apps::NightShiftOptions ns;
+    ns.day_host = "brick";
+    ns.night_length = sim::Seconds(30);
+    ns.nights = 1;
+    stats = apps::RunNightShift(api, *net, ns);
     return 0;
   });
   EXPECT_EQ(stats.spread_migrations, 4);  // dusk happened before the crash
@@ -499,6 +500,146 @@ TEST(Evacuate, NoEligibleTargetReportsUnplacedWithoutAttempts) {
   // No doomed migrate was attempted: an attempt against a dead host would have
   // burned seconds in timeouts; reporting unplaced is near-instant.
   EXPECT_LT(world.cluster().clock().now() - t0, sim::Seconds(1));
+}
+
+// --- Coordinators under placement-lease contention ---
+//
+// Another coordinator (on brador) holds schooner's placement lease — schooner
+// being the idlest host and first in network order, every coordinator's first
+// pick. A leasing coordinator must exclude it, count the conflict, hand the
+// migration to the next pick (brador), and release its own lease afterwards.
+
+constexpr sim::Nanos kRivalLeaseTtl = sim::Seconds(3600);
+
+// Takes schooner's lease from brador, as a rival coordinator would.
+void HoldSchoonerLeaseFromBrador(World& world) {
+  net::Network* net = &world.cluster().network();
+  const int rc = RunSystem(world, "brador", [net](SyscallApi& api) {
+    apps::LeaseOptions lopts;
+    lopts.ttl = kRivalLeaseTtl;
+    const Result<apps::PlacementLease> r =
+        apps::AcquirePlacementLease(api, *net, "schooner", lopts);
+    return r.ok() && r->held ? 0 : 1;
+  });
+  ASSERT_EQ(rc, 0);
+  ASSERT_TRUE(world.FileExists("schooner", "/var/lease/placement"));
+}
+
+// The rival's lease is untouched and no other lease file was left behind.
+void ExpectOnlyRivalLeaseRemains(World& world) {
+  EXPECT_FALSE(world.FileExists("brick", "/var/lease/placement"));
+  EXPECT_FALSE(world.FileExists("brador", "/var/lease/placement"));
+  EXPECT_NE(world.FileContents("schooner", "/var/lease/placement").find("holder brador"),
+            std::string::npos);
+}
+
+int VmProcsOn(World& world, std::string_view host) {
+  int n = 0;
+  for (kernel::Proc* p : world.host(host).ListProcs()) {
+    if (p->kind == kernel::ProcKind::kVm && p->Alive()) ++n;
+  }
+  return n;
+}
+
+TEST(LeaseContention, BalancerExcludesLeasedTargetAndMigratesToNextPick) {
+  WorldOptions options;
+  options.num_hosts = 3;
+  options.daemons = true;
+  World world(options);
+  for (int i = 0; i < 3; ++i) world.StartVm("brick", "/bin/hog", {"hog", "200000000"});
+  world.cluster().RunFor(sim::Millis(100));
+  HoldSchoonerLeaseFromBrador(world);
+
+  apps::LoadBalancerStats stats;
+  net::Network* net = &world.cluster().network();
+  RunSystem(world, "brick", [net, &stats](SyscallApi& api) {
+    apps::LoadBalancerOptions lb;
+    lb.min_age = 0;
+    lb.max_rounds = 1;
+    lb.lease_targets = true;
+    stats = apps::RunLoadBalancer(api, *net, lb);
+    return 0;
+  });
+  EXPECT_EQ(stats.lease_conflicts, 1);
+  EXPECT_EQ(stats.migrations, 1);
+  EXPECT_NE(stats.decisions.find("->brador=0;"), std::string::npos) << stats.decisions;
+  EXPECT_EQ(VmProcsOn(world, "schooner"), 0);
+  EXPECT_EQ(VmProcsOn(world, "brador"), 1);
+  ExpectOnlyRivalLeaseRemains(world);
+}
+
+TEST(LeaseContention, EvacuationExcludesLeasedTargetAndMigratesToNextPick) {
+  WorldOptions options;
+  options.num_hosts = 3;
+  options.daemons = true;
+  World world(options);
+  for (int i = 0; i < 2; ++i) world.StartVm("brick", "/bin/hog", {"hog", "200000000"});
+  world.cluster().RunFor(sim::Millis(100));
+  HoldSchoonerLeaseFromBrador(world);
+
+  auto report = std::make_shared<apps::EvacuationReport>();
+  net::Network* net = &world.cluster().network();
+  RunSystem(world, "brick", [net, report](SyscallApi& api) {
+    *report = apps::EvacuateHost(api, *net, "brick", /*to_host=*/"", /*use_daemon=*/true,
+                                 core::MigrateOptions{}, PlacementPolicy::kLoadOnly,
+                                 /*fault_threshold=*/0.5, /*health_threshold=*/1.0,
+                                 /*lease_targets=*/true);
+    return 0;
+  });
+  // Each evacuee's first pick is the (empty, leased) schooner.
+  EXPECT_EQ(report->lease_conflicts, 2);
+  EXPECT_EQ(report->moved.size(), 2u);
+  EXPECT_TRUE(report->failed.empty());
+  EXPECT_TRUE(report->unplaced.empty());
+  EXPECT_EQ(VmProcsOn(world, "schooner"), 0);
+  EXPECT_EQ(VmProcsOn(world, "brador"), 2);
+  ExpectOnlyRivalLeaseRemains(world);
+}
+
+TEST(LeaseContention, NightShiftExcludesLeasedTargetAndMigratesToNextPick) {
+  WorldOptions options;
+  options.num_hosts = 3;
+  options.daemons = true;
+  World world(options);
+  kernel::Kernel& brick = world.host("brick");
+  for (int i = 0; i < 6; ++i) {
+    kernel::SpawnOptions opts;
+    opts.creds = {999, 99, 999, 99};
+    opts.tty = nullptr;
+    opts.cwd = "/tmp";
+    ASSERT_TRUE(brick.SpawnVm("/bin/hog", {"hog", "200000000"}, opts).ok());
+  }
+  world.cluster().RunFor(sim::Millis(100));
+  HoldSchoonerLeaseFromBrador(world);
+
+  auto stats = std::make_shared<apps::NightShiftStats>();
+  net::Network* net = &world.cluster().network();
+  kernel::SpawnOptions root;
+  root.tty = world.console("brick");
+  root.cwd = "/";
+  const int32_t shift = brick.SpawnNative(
+      "night-shift",
+      [net, stats](SyscallApi& api) {
+        apps::NightShiftOptions ns;
+        ns.day_host = "brick";
+        ns.policy = PlacementPolicy::kFaultAware;
+        ns.lease_targets = true;
+        ns.night_length = sim::Seconds(30);
+        *stats = apps::RunNightShift(api, *net, ns);
+        return 0;
+      },
+      root);
+  // Dusk: the four jobs beyond brick's fair share of two all land on brador.
+  ASSERT_TRUE(world.cluster().RunUntil(
+      [&world] { return apps::BatchJobsOn(world.host("brador"), 999).size() == 4; },
+      sim::Seconds(300)));
+  EXPECT_TRUE(apps::BatchJobsOn(world.host("schooner"), 999).empty());
+  ASSERT_TRUE(world.RunUntilExited("brick", shift, sim::Seconds(1200)));
+  EXPECT_EQ(stats->spread_migrations, 4);
+  EXPECT_EQ(stats->lease_conflicts, 4);
+  EXPECT_EQ(stats->failed_spread, 0);
+  EXPECT_EQ(stats->gather_migrations, 4);
+  ExpectOnlyRivalLeaseRemains(world);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/test_programs.h"
 #include "tests/test_util.h"
 
 namespace pmig {
@@ -165,6 +166,64 @@ TEST(Precopy, UnknownHostAndPid) {
   world.RunUntilExited("brick", mgr);
   EXPECT_EQ(errs->first, Errno::kHostUnreach);
   EXPECT_EQ(errs->second, Errno::kSrch);
+}
+
+// Holds fd 4 open on a data file at offset 5 with fd 3 closed beneath it, then
+// waits at the terminal: the fd-table shape the reconstruction must preserve.
+constexpr std::string_view kFdHolderSource = R"(
+        .text
+start:  movi r0, dname
+        movi r1, O_RDONLY
+        movi r2, 0
+        sys  SYS_open           ; fd 3, closed below
+        movi r0, dname
+        movi r1, O_RDONLY
+        movi r2, 0
+        sys  SYS_open           ; fd 4
+        mov  r6, r0
+        movi r0, 3
+        sys  SYS_close
+        mov  r0, r6
+        movi r1, buf
+        movi r2, 5
+        sys  SYS_read           ; fd 4 now sits at offset 5
+loop:   movi r0, 0
+        movi r1, buf
+        movi r2, 64
+        sys  SYS_read
+        movi r3, 0
+        beq  r0, r3, done
+        jmp  loop
+done:   movi r0, 0
+        sys  SYS_exit
+        .data
+dname:  .asciiz "data"
+buf:    .space 64
+)";
+
+TEST(Precopy, FdTableRebuildKeepsSlotsAndOffsets) {
+  World world;
+  kernel::Kernel& brick = world.host("brick");
+  core::InstallProgram(brick, "/bin/fdholder", kFdHolderSource);
+  brick.vfs().SetupCreateFile("/u/user/data", "0123456789", kUserUid, 0644);
+  const int32_t pid = world.StartVm("brick", "/bin/fdholder");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
+  const kernel::Proc* src = brick.FindProc(pid);
+  ASSERT_NE(src, nullptr);
+  ASSERT_EQ(src->fds[3], nullptr);
+  ASSERT_NE(src->fds[4], nullptr);
+  ASSERT_EQ(src->fds[4]->offset, 5);
+  const vfs::InodePtr data = src->fds[4]->inode;
+
+  const Result<PrecopyStats> stats = RunPrecopy(world, pid, world.console("schooner"));
+  ASSERT_TRUE(stats.ok()) << ErrnoName(stats.error());
+  ASSERT_TRUE(world.RunUntilBlocked("schooner", stats->new_pid));
+  const kernel::Proc* moved = world.host("schooner").FindProc(stats->new_pid);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(moved->fds[3], nullptr);
+  ASSERT_NE(moved->fds[4], nullptr);
+  EXPECT_EQ(moved->fds[4]->inode, data);
+  EXPECT_EQ(moved->fds[4]->offset, 5);
 }
 
 }  // namespace

@@ -435,6 +435,36 @@ TEST(ReaperTest, IncompleteSetsAgeAcrossPassesBeforeCollection) {
   EXPECT_EQ(world.cluster().AggregateMetrics().Counter("reaper.collected"), 1);
 }
 
+TEST(ReaperTest, OutOfRangePidSuffixIsNotADumpSet) {
+  World world;
+  net::Network* net = &world.cluster().network();
+  // Junk in the world-writable /usr/tmp whose digits overflow an int32: a
+  // wrapping parse would read it as pid 100, brick's first pid.
+  const std::string junk = "/usr/tmp/a.out4294967396";
+  RunNative(world, "brick", [&junk](SyscallApi& api) {
+    const Result<int> fd = api.Open(junk, OpenFlags::kOWrOnly | OpenFlags::kOCreat, 0644);
+    EXPECT_TRUE(fd.ok());
+    return api.Close(*fd).ok() ? 0 : 1;
+  });
+
+  apps::ReaperOptions ropts;
+  ropts.grace = sim::Seconds(10);
+  ropts.use_daemon = false;
+  auto state = std::make_shared<apps::ReaperState>();
+  auto report = std::make_shared<apps::ReaperReport>();
+  for (int pass = 0; pass < 2; ++pass) {
+    RunNative(world, "brick", [net, ropts, state, report](SyscallApi& api) {
+      *report = apps::ReapOrphans(api, *net, ropts, state.get());
+      return 0;
+    });
+    EXPECT_EQ(report->scanned, 0);
+    EXPECT_EQ(report->log.find("100@brick"), std::string::npos) << report->log;
+    world.cluster().RunFor(sim::Seconds(20));  // past the grace period
+  }
+  EXPECT_TRUE(report->collected.empty());
+  EXPECT_TRUE(world.FileExists("brick", junk));
+}
+
 TEST(ReaperTest, CollectsSetWhoseSurvivorRunsElsewhere) {
   test::WorldOptions options;
   options.num_hosts = 3;
