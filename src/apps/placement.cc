@@ -70,7 +70,7 @@ int64_t EstimatedBytes(kernel::Kernel& from, kernel::Kernel& to, int32_t pid) {
   if (p == nullptr || p->kind != kernel::ProcKind::kVm || p->vm == nullptr) return 0;
   const vm::VmContext& ctx = *p->vm;
   int64_t bytes = 0;
-  if (!HasCachedSegment(to, sim::HashBytes(ctx.text))) {
+  if (!HasCachedSegment(to, sim::HashBytes(ctx.text.bytes()))) {
     bytes += static_cast<int64_t>(ctx.text.size());
   }
   const bool delta_ok = ctx.dirty.armed && ctx.data.size() == ctx.dirty.base.size();

@@ -401,6 +401,9 @@ class Kernel {
   sim::CounterHandle native_syscall_metric_;
   sim::CounterHandle context_switch_metric_;
   sim::CounterHandle runnable_vm_metric_;
+  // "kernel.syscall.<n>" per VM trap number, made on first use: numbers are
+  // whatever a program's SYS immediate says, so the set is sparse and open.
+  std::map<int32_t, sim::CounterHandle> vm_syscall_metrics_;
   sim::SpanLog* spans_ = nullptr;
   sim::FlightRecorder* recorder_ = nullptr;
   sim::HealthMonitor* health_monitor_ = nullptr;

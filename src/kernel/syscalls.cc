@@ -728,7 +728,10 @@ void Kernel::RunVmProc(Proc& p) {
     if (reason == vm::StopReason::kSyscall) {
       ++stats_.syscalls;
       if (metrics_.enabled()) {
-        metrics_.Inc("kernel.syscall." + std::to_string(cpu.last_syscall()));
+        const int32_t n = cpu.last_syscall();
+        auto [it, first_use] = vm_syscall_metrics_.try_emplace(n);
+        if (first_use) it->second = metrics_.MakeCounter("kernel.syscall." + std::to_string(n));
+        it->second.Inc();
       }
       ChargeCpu(p, costs_->syscall_entry);
       if (!DispatchVmSyscall(p, cpu.last_syscall())) break;

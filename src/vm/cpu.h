@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/vm/aout.h"
@@ -65,9 +66,52 @@ struct DirtyTracking {
   int64_t CountStackDirty() const;
 };
 
+// One predecoded instruction: an Opcode whose operands were validated at decode
+// time, or one of the execution engine's fault and sentinel pseudo-ops (cpu.cc).
+struct DecodedInstr {
+  uint8_t op = 0;
+  uint8_t ra = 0;
+  uint8_t rb = 0;
+  uint8_t rc = 0;
+  int32_t imm = 0;
+};
+static_assert(sizeof(DecodedInstr) <= kInstrBytes, "one decoded slot per encoded instruction");
+
+// The text segment: the instruction bytes that dumps carry, plus the decoded stream
+// the Cpu executes. Every mutation goes through this class and drops the decoded
+// stream, so it never describes other bytes than the current ones. (The buffer
+// address is no key: copy-assigning a vector of equal size reuses its buffer.)
+class TextSegment {
+ public:
+  TextSegment& operator=(const std::vector<uint8_t>& bytes) {
+    bytes_ = bytes;
+    decoded_.clear();
+    return *this;
+  }
+  template <typename... Args>
+  void assign(Args&&... args) {
+    bytes_.assign(std::forward<Args>(args)...);
+    decoded_.clear();
+  }
+
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  const uint8_t* data() const { return bytes_.data(); }
+  size_t size() const { return bytes_.size(); }
+
+  // The decoded stream for a machine of `level`: one slot per whole instruction,
+  // then the bad-fetch sentinel. Built on first use and rebuilt
+  // when `level` differs from the level it was built for.
+  const DecodedInstr* Decoded(IsaLevel level);
+
+ private:
+  std::vector<uint8_t> bytes_;
+  std::vector<DecodedInstr> decoded_;  // empty: not built
+  IsaLevel decoded_level_ = IsaLevel::kIsa10;
+};
+
 // The migratable machine context.
 struct VmContext {
-  std::vector<uint8_t> text;
+  TextSegment text;
   std::vector<uint8_t> data;
   // Backing store for the whole possible stack region [kStackBase, kStackTop).
   // Only [sp, kStackTop) is meaningful and only that slice is dumped.
@@ -111,8 +155,10 @@ struct VmContext {
   bool WriteCString(uint32_t addr, const std::string& s);  // writes s + NUL
 
  private:
-  // Flags the pages covered by a completed write. Every mutation of data/stack
-  // funnels through WriteBytes, so this is the single tracking point.
+  friend class Cpu;
+
+  // Flags the pages covered by a completed write of len > 0 bytes. Every tracked
+  // mutation of data/stack is a WriteBytes or a Cpu store, and both call this.
   void MarkDirty(uint32_t addr, uint32_t len);
 };
 
@@ -124,7 +170,10 @@ class Cpu {
 
   // Runs up to `max_steps` instructions. Returns why execution stopped. On
   // kSyscall the pc has advanced past the SYS instruction (rewind by kInstrBytes to
-  // re-execute it, which is how interrupted blocking syscalls restart).
+  // re-execute it, which is how interrupted blocking syscalls restart). On kFault
+  // the pc is left on the faulting instruction. Faulting and SYS steps count in
+  // steps_executed(), and running a budget in several calls ends in the same state
+  // as running it in one.
   StopReason Run(VmContext& ctx, int64_t max_steps);
 
   int64_t steps_executed() const { return steps_executed_; }
@@ -132,8 +181,6 @@ class Cpu {
   Fault last_fault() const { return last_fault_; }
 
  private:
-  StopReason StepOnce(VmContext& ctx);
-
   IsaLevel machine_level_;
   int64_t steps_executed_ = 0;
   int32_t last_syscall_ = 0;

@@ -198,6 +198,126 @@ TEST(CpuFault, StackOverflow) {
   EXPECT_EQ(r.fault, Fault::kStackOverflow);
 }
 
+// A jump or return to a pc near 2^32 must fault at the fetch, not wrap the bounds
+// check and read past the text.
+TEST(CpuFault, JumpToWrappedTargetFaultsAtFetch) {
+  VmContext ctx;
+  ctx.LoadImage(MustAssemble("start: jmp -8\n"));
+  Cpu cpu(IsaLevel::kIsa20);
+  EXPECT_EQ(cpu.Run(ctx, 100), StopReason::kFault);
+  EXPECT_EQ(cpu.last_fault(), Fault::kBadAddress);
+  EXPECT_EQ(ctx.cpu.pc, 0xFFFFFFF8u);  // left at the bad address
+  EXPECT_EQ(cpu.steps_executed(), 2);  // the jmp, then the faulting fetch
+}
+
+TEST(CpuFault, ReturnToWrappedAddressFaultsAtFetch) {
+  VmContext ctx;
+  ctx.LoadImage(MustAssemble("movi r1, -8\npush r1\nret\n"));
+  Cpu cpu(IsaLevel::kIsa20);
+  EXPECT_EQ(cpu.Run(ctx, 100), StopReason::kFault);
+  EXPECT_EQ(cpu.last_fault(), Fault::kBadAddress);
+  EXPECT_EQ(ctx.cpu.pc, 0xFFFFFFF8u);
+  EXPECT_EQ(ctx.cpu.sp, kStackTop);    // the ret itself completed
+  EXPECT_EQ(cpu.steps_executed(), 4);  // movi, push, ret, then the faulting fetch
+}
+
+TEST(CpuFault, JumpOutOfTextFaultsOnlyWhenBudgetRemains) {
+  VmContext ctx;
+  ctx.LoadImage(MustAssemble("start: jmp 4096\n"));
+  Cpu cpu(IsaLevel::kIsa20);
+  EXPECT_EQ(cpu.Run(ctx, 1), StopReason::kSteps);  // the jump itself succeeds
+  EXPECT_EQ(ctx.cpu.pc, 4096u);
+  EXPECT_EQ(cpu.Run(ctx, 1), StopReason::kFault);  // the next fetch costs one step
+  EXPECT_EQ(cpu.last_fault(), Fault::kBadAddress);
+  EXPECT_EQ(cpu.steps_executed(), 1);
+  EXPECT_EQ(ctx.cpu.pc, 4096u);
+}
+
+TEST(CpuFault, FailedPushLeavesSpDecremented) {
+  VmContext ctx;
+  ctx.LoadImage(MustAssemble("push r0\n"));
+  ctx.cpu.sp = kStackTop + 8;  // passes the overflow check; the write misses
+  Cpu cpu(IsaLevel::kIsa20);
+  EXPECT_EQ(cpu.Run(ctx, 10), StopReason::kFault);
+  EXPECT_EQ(cpu.last_fault(), Fault::kBadAddress);
+  EXPECT_EQ(ctx.cpu.sp, kStackTop);
+  EXPECT_EQ(ctx.cpu.pc, 0u);
+}
+
+TEST(Cpu, DivisionOverflowWrapsInsteadOfTrapping) {
+  const RunResult r = RunProgram(R"(
+        movi r1, 1
+        movi r2, 63
+        shl  r1, r1, r2         ; INT64_MIN
+        movi r3, -1
+        div  r4, r1, r3
+        mod  r5, r1, r3
+        sys  0
+)");
+  ASSERT_EQ(r.reason, StopReason::kSyscall);
+  EXPECT_EQ(r.ctx.cpu.regs[4], INT64_MIN);
+  EXPECT_EQ(r.ctx.cpu.regs[5], 0);
+}
+
+// --- Decoded-stream invalidation ---
+
+const AoutImage& ProgramSettingR1(int value) {
+  static const AoutImage one = MustAssemble("movi r1, 1\nsys 0\n");
+  static const AoutImage two = MustAssemble("movi r1, 2\nsys 0\n");
+  return value == 1 ? one : two;
+}
+
+int64_t RunToSyscallFromStart(VmContext& ctx, IsaLevel level = IsaLevel::kIsa20) {
+  ctx.cpu.pc = 0;
+  Cpu cpu(level);
+  EXPECT_EQ(cpu.Run(ctx, 10), StopReason::kSyscall);
+  return ctx.cpu.regs[1];
+}
+
+TEST(CpuDecodeCache, LoadImageOfSameSizedProgramRedecodes) {
+  VmContext ctx;
+  ctx.LoadImage(ProgramSettingR1(1));
+  EXPECT_EQ(RunToSyscallFromStart(ctx), 1);
+  ASSERT_EQ(ProgramSettingR1(1).text.size(), ProgramSettingR1(2).text.size());
+  ctx.LoadImage(ProgramSettingR1(2));  // same size: the text buffer is reused
+  EXPECT_EQ(RunToSyscallFromStart(ctx), 2);
+}
+
+TEST(CpuDecodeCache, MachineLevelChangeRedecodes) {
+  VmContext ctx;
+  ctx.LoadImage(MustAssemble("lmul r1, r2, r3\nsys 0\n"));
+  Cpu isa20(IsaLevel::kIsa20);
+  EXPECT_EQ(isa20.Run(ctx, 10), StopReason::kSyscall);
+  ctx.cpu.pc = 0;
+  Cpu isa10(IsaLevel::kIsa10);
+  EXPECT_EQ(isa10.Run(ctx, 10), StopReason::kFault);
+  EXPECT_EQ(isa10.last_fault(), Fault::kIsaViolation);
+  ctx.cpu.pc = 0;
+  EXPECT_EQ(isa20.Run(ctx, 10), StopReason::kSyscall);
+}
+
+TEST(CpuDecodeCache, DirectTextAssignmentRedecodes) {
+  VmContext ctx;
+  ctx.LoadImage(ProgramSettingR1(1));
+  EXPECT_EQ(RunToSyscallFromStart(ctx), 1);
+  const std::vector<uint8_t>& two = ProgramSettingR1(2).text;
+  ctx.text.assign(two.begin(), two.end());
+  EXPECT_EQ(RunToSyscallFromStart(ctx), 2);
+  ctx.text = ProgramSettingR1(1).text;
+  EXPECT_EQ(RunToSyscallFromStart(ctx), 1);
+}
+
+TEST(CpuDecodeCache, CopiedContextRunsItsOwnText) {
+  VmContext original;
+  original.LoadImage(ProgramSettingR1(1));
+  EXPECT_EQ(RunToSyscallFromStart(original), 1);  // decoded before the copy
+  VmContext copy = original;
+  const std::vector<uint8_t>& two = ProgramSettingR1(2).text;
+  copy.text.assign(two.begin(), two.end());
+  EXPECT_EQ(RunToSyscallFromStart(copy), 2);
+  EXPECT_EQ(RunToSyscallFromStart(original), 1);
+}
+
 // --- VmContext memory and dump/restore ---
 
 TEST(VmContext, ReadWriteCString) {

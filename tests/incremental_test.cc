@@ -80,7 +80,7 @@ TEST(Incremental, DeltaRestoreIsBitIdenticalToFullRestore) {
   ASSERT_NE(delta->vm, nullptr);
 
   // The restored memory images and CPU state must match exactly.
-  EXPECT_EQ(full->vm->text, delta->vm->text);
+  EXPECT_EQ(full->vm->text.bytes(), delta->vm->text.bytes());
   EXPECT_EQ(full->vm->data, delta->vm->data);
   EXPECT_EQ(full->vm->stack, delta->vm->stack);
   EXPECT_EQ(full->vm->cpu.pc, delta->vm->cpu.pc);
