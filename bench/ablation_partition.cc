@@ -249,7 +249,7 @@ Outcome RunSplitBrain(bool leases) {
               api, *net, "brick", "", /*use_daemon=*/true,
               core::MigrateOptions::Robust(), apps::PlacementPolicy::kLoadOnly,
               /*fault_threshold=*/0.5, /*health_threshold=*/1.0,
-              /*lease_targets=*/leases, /*lease_ttl=*/sim::Seconds(30));
+              /*lease_targets=*/leases);
           return report.Status();
         },
         kernel::SpawnOptions{}));

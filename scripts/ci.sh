@@ -1,7 +1,8 @@
 #!/bin/sh
 # The full verification pipeline, one command: tier-1 build (warnings are
-# errors) + ctest, the ASan and UBSan builds + ctest, and the fig4 phase-drift
-# gate. Run from the repository root.
+# errors) + ctest, the ASan and UBSan builds + ctest, the fig4 phase-drift gate,
+# the bench_all baseline comparison and the remaining bench gates. Run from the
+# repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -52,6 +53,14 @@ echo "== event-driven balancer gate =="
 
 echo "== decision-diff gate =="
 (cd build/bench && ./decision_diff --check)
+
+echo "== bench_all byte-identity gate =="
+# Every figure/ablation's BENCH_<name>.json must equal its committed baseline
+# byte for byte: a refactor that shifts any virtual-time result fails here.
+cmake --build build --target bench_all >/dev/null
+for f in bench/baselines/BENCH_*.json; do
+  cmp "$f" "build/bench/$(basename "$f")"
+done
 
 echo "== bench JSON schema gate =="
 ./build/bench/check_bench_json bench/baselines

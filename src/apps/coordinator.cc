@@ -17,19 +17,16 @@ bool Section7Movable(kernel::Kernel& host, const kernel::Proc& p) {
 
 LeasedTarget LeasePick(kernel::SyscallApi& api, net::Network& net,
                        const PlacementEngine& engine, PlacementQuery query,
-                       std::string target, bool lease_targets, sim::Nanos lease_ttl,
-                       int* conflicts) {
+                       std::string target, bool lease_targets, int* conflicts) {
   LeasedTarget out;
   if (!lease_targets) {
     out.host = std::move(target);
     return out;
   }
-  LeaseOptions lopts;
-  lopts.ttl = lease_ttl;
   // Every re-pick excludes one more host, so the engine runs dry long before
   // the bound; the bound only guards against a pick loop that never ends.
   for (size_t tries = 0; tries <= net.hosts().size() && !target.empty(); ++tries) {
-    const Result<PlacementLease> acquired = AcquirePlacementLease(api, net, target, lopts);
+    const Result<PlacementLease> acquired = AcquirePlacementLease(api, net, target);
     if (acquired.ok() && acquired->held) {
       out.host = std::move(target);
       out.lease = *acquired;

@@ -33,8 +33,7 @@ struct LeasedTarget {
 // spread across targets instead of dog-piling the one idlest host.
 LeasedTarget LeasePick(kernel::SyscallApi& api, net::Network& net,
                        const PlacementEngine& engine, PlacementQuery query,
-                       std::string target, bool lease_targets, sim::Nanos lease_ttl,
-                       int* conflicts);
+                       std::string target, bool lease_targets, int* conflicts);
 
 // Migrates `pid` from `from_host` to `target.host`, then does the
 // coordinator's bookkeeping: releases the target's lease, attaches the outcome

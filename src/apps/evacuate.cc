@@ -10,7 +10,7 @@ EvacuationReport EvacuateHost(kernel::SyscallApi& api, net::Network& net,
                               bool use_daemon, const core::MigrateOptions& opts,
                               PlacementPolicy policy, double fault_threshold,
                               double health_threshold, bool lease_targets,
-                              sim::Nanos lease_ttl, ClusterIndex* index) {
+                              ClusterIndex* index) {
   EvacuationReport report;
   kernel::Kernel* from = net.FindHost(from_host);
   if (from == nullptr) return report;
@@ -45,7 +45,7 @@ EvacuationReport EvacuateHost(kernel::SyscallApi& api, net::Network& net,
       // concurrent coordinator cannot receive the same flood of evacuees.
       std::string pick = engine.PickTarget(query);
       target = LeasePick(api, net, engine, std::move(query), std::move(pick), lease_targets,
-                         lease_ttl, &report.lease_conflicts);
+                         &report.lease_conflicts);
       if (target.host.empty()) {
         report.unplaced.push_back(pid);
         api.kernel().metrics().Inc("evacuate.unplaced");

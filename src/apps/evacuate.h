@@ -82,7 +82,6 @@ EvacuationReport EvacuateHost(kernel::SyscallApi& api, net::Network& net,
                               double fault_threshold = 0.5,
                               double health_threshold = 1.0,
                               bool lease_targets = false,
-                              sim::Nanos lease_ttl = sim::Seconds(30),
                               ClusterIndex* index = nullptr);
 
 }  // namespace pmig::apps

@@ -24,7 +24,7 @@ bool EligibleVictim(kernel::Kernel& host, kernel::Proc& p, sim::Nanos now,
 }  // namespace
 
 std::vector<int32_t> PickVictims(kernel::Kernel& host, sim::Nanos now,
-                                 sim::Nanos min_age, bool by_cpu, int max_victims) {
+                                 sim::Nanos min_age, int max_victims) {
   std::vector<int32_t> victims;
   if (host.down() || max_victims <= 0) return victims;
   NoteSurveyMessage(host);  // one proc-table read serves the whole batch
@@ -32,17 +32,11 @@ std::vector<int32_t> PickVictims(kernel::Kernel& host, sim::Nanos now,
   for (kernel::Proc* p : host.ListProcs()) {
     if (EligibleVictim(host, *p, now, min_age)) eligible.push_back(p);
   }
-  // Oldest-first is the paper's proxy for "will keep running"; by_cpu measures
-  // it instead — most accumulated CPU first, ties to the older start. A stable
-  // sort keeps the process-table order on full ties, so the single-victim
-  // default picks exactly what the pre-batch balancer picked.
+  // Oldest-first is the paper's proxy for "will keep running". A stable sort
+  // keeps the process-table order on ties, so the single-victim default picks
+  // exactly what the pre-batch balancer picked.
   std::stable_sort(eligible.begin(), eligible.end(),
-                   [by_cpu](const kernel::Proc* a, const kernel::Proc* b) {
-                     if (by_cpu) {
-                       const sim::Nanos ca = a->utime + a->stime;
-                       const sim::Nanos cb = b->utime + b->stime;
-                       if (ca != cb) return ca > cb;
-                     }
+                   [](const kernel::Proc* a, const kernel::Proc* b) {
                      return a->start_time < b->start_time;
                    });
   for (kernel::Proc* p : eligible) {
@@ -176,8 +170,7 @@ LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,
     }
     kernel::Kernel* from = net.FindHost(busiest->first);
     const std::vector<int32_t> victims =
-        PickVictims(*from, api.Now(), options.min_age,
-                    options.victim_by_cpu, std::max(1, options.batch_per_round));
+        PickVictims(*from, api.Now(), options.min_age, std::max(1, options.batch_per_round));
     if (victims.empty()) {
       // Imbalanced but nothing is old enough (or eligible) to move yet.
       // Eligibility ripens with time, not with observations, so the wait here
@@ -213,7 +206,7 @@ LoadBalancerStats RunLoadBalancer(kernel::SyscallApi& api, net::Network& net,
       retry.pid = victim;
       const LeasedTarget leased =
           LeasePick(api, net, engine, std::move(retry), placed[i], options.lease_targets,
-                    options.lease_ttl, &stats.lease_conflicts);
+                    &stats.lease_conflicts);
       const std::string& target = leased.host;
       if (target.empty()) continue;
       attempted = true;

@@ -77,10 +77,8 @@ NightShiftStats RunNightShift(kernel::SyscallApi& api, net::Network& net,
           if (eligible.empty()) break;
           target.host = eligible[target_index]->hostname();
           if (!options.lease_targets) break;
-          LeaseOptions lopts;
-          lopts.ttl = options.lease_ttl;
           const Result<PlacementLease> acquired =
-              AcquirePlacementLease(api, net, target.host, lopts);
+              AcquirePlacementLease(api, net, target.host);
           if (acquired.ok() && acquired->held) {
             target.lease = *acquired;
             break;
@@ -99,7 +97,7 @@ NightShiftStats RunNightShift(kernel::SyscallApi& api, net::Network& net,
         query.context = "night-shift";
         std::string pick = engine.PickTarget(query);
         target = LeasePick(api, net, engine, std::move(query), std::move(pick),
-                           options.lease_targets, options.lease_ttl, &stats.lease_conflicts);
+                           options.lease_targets, &stats.lease_conflicts);
         if (target.host.empty()) break;  // no eligible target; jobs stay home
       }
       const int rc = MigrateToTarget(api, net, jobs[i], day_host, target, options.use_daemon,

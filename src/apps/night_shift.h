@@ -46,7 +46,6 @@ struct NightShiftOptions {
   // (kLoadOnly) or excluding (engine policies) targets another coordinator
   // holds. Off by default: solo runs are untouched (and bit-identical).
   bool lease_targets = false;
-  sim::Nanos lease_ttl = sim::Seconds(30);
 };
 
 struct NightShiftStats {

@@ -183,6 +183,7 @@ void Cluster::TakeSample() {
     network_->PublishLoad(obs);
     samples_.push_back(std::move(s));
   }
+  while (samples_.size() > kSampleHistoryPerHost * hosts_.size()) samples_.pop_front();
   // Burn windows age out even when no new observation arrives; re-evaluate at
   // the sampler edge (still zero virtual time, zero RNG).
   health_monitor_.Tick();

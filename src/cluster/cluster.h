@@ -9,6 +9,7 @@
 #ifndef PMIG_SRC_CLUSTER_CLUSTER_H_
 #define PMIG_SRC_CLUSTER_CLUSTER_H_
 
+#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -57,7 +58,8 @@ struct ClusterConfig {
   // Time-series sampler: at least every `sample_period` of virtual time (checked
   // from the lockstep Step(), never via a clock timer, so sampling cannot perturb
   // virtual times), snapshot each host's runnable load, segment-cache bytes, and
-  // fault score into the run report. 0 (the default) disables sampling.
+  // fault score into the run report (the newest kSampleHistoryPerHost per host).
+  // 0 (the default) disables sampling.
   sim::Nanos sample_period = 0;
   // Health monitor (sim::HealthMonitor): armed iff `health.anomaly_detection`
   // is set or `slos` is non-empty. The sampler above feeds it per-host load /
@@ -79,6 +81,10 @@ struct ClusterConfig {
   // consumed, no timers are armed, and results stay bit-identical).
   sim::FaultConfig faults;
 };
+
+// Sampler snapshots the cluster keeps per host: the history behind the report's
+// "sample" lines, bounded so a long run's memory does not grow with its length.
+constexpr size_t kSampleHistoryPerHost = 64;
 
 // One sampler snapshot of one host.
 struct LoadSample {
@@ -113,7 +119,9 @@ class Cluster {
   const sim::HealthMonitor& health_monitor() const { return health_monitor_; }
   apps::DecisionLog& decision_log() { return decision_log_; }
   const apps::DecisionLog& decision_log() const { return decision_log_; }
-  const std::vector<LoadSample>& samples() const { return samples_; }
+  // The newest kSampleHistoryPerHost sampler snapshots of every host, oldest
+  // first (each sampler edge appends one per host, in host order).
+  const std::deque<LoadSample>& samples() const { return samples_; }
   const sim::CostModel& costs() const { return config_.costs; }
   kernel::ProgramRegistry& programs() { return programs_; }
 
@@ -173,7 +181,7 @@ class Cluster {
   sim::FlightRecorder recorder_{&clock_};
   sim::HealthMonitor health_monitor_;
   apps::DecisionLog decision_log_{&clock_};
-  std::vector<LoadSample> samples_;
+  std::deque<LoadSample> samples_;
   sim::Nanos next_sample_at_ = 0;  // next sampler due time (0 = sampler off)
   kernel::ProgramRegistry programs_;
   std::unique_ptr<sim::FaultInjector> faults_;

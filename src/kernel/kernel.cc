@@ -193,14 +193,6 @@ std::vector<Proc*> Kernel::ListProcs() {
   return out;
 }
 
-int Kernel::RunnableCount() const {
-  int n = 0;
-  for (const auto& p : procs_) {
-    if (p->state == ProcState::kRunnable) ++n;
-  }
-  return n;
-}
-
 SyscallApi* Kernel::ApiFor(int32_t pid) {
   auto it = apis_.find(pid);
   return it == apis_.end() ? nullptr : it->second.get();
@@ -295,20 +287,6 @@ void Kernel::BlockProc(Proc& p, std::function<bool()> check) {
 }
 
 // --- Scheduler ---------------------------------------------------------------------
-
-bool Kernel::HasWork() const {
-  for (const auto& p : procs_) {
-    switch (p->state) {
-      case ProcState::kRunnable:
-      case ProcState::kSleeping:
-      case ProcState::kBlocked:
-        return true;
-      default:
-        break;
-    }
-  }
-  return false;
-}
 
 bool Kernel::HasTimedWork() const {
   if (down_) return false;

@@ -242,7 +242,6 @@ class Kernel {
   Proc* FindAnyProc(int32_t pid);
   // Live process listing (used by ps-like tools and the load balancer).
   std::vector<Proc*> ListProcs();
-  int RunnableCount() const;
 
   // Posts a signal (no permission check; syscall-level checks are in SysKill).
   Status PostSignal(int32_t pid, int signo, Proc* sender);
@@ -251,9 +250,6 @@ class Kernel {
   // Runs one quantum of this machine's CPU at the current virtual time. Returns
   // true if any process ran.
   bool RunQuantum();
-  // True if some process could make progress now or later (runnable, sleeping, or
-  // blocked); false when the machine is idle.
-  bool HasWork() const;
   // Re-evaluates blocked processes' conditions, waking satisfied ones. The cluster
   // loop calls this before deciding the machine is idle.
   void WakeBlockedProcs();
@@ -297,6 +293,9 @@ class Kernel {
   Result<uint16_t> SysTtyGet(Proc& p, int fd);
   Status SysTtySet(Proc& p, int fd, uint16_t flags);
   Result<int32_t> SysFork(Proc& p);  // VM processes only
+  // sbrk(): moves the end of a VM process's data segment by `increment` bytes and
+  // returns the old end address; ENOMEM outside the segment's 1 MB window.
+  Result<int64_t> SysBrk(Proc& p, int64_t increment);
   Status SysExecve(Proc& p, std::string_view path, const std::vector<std::string>& args);
   Status SysRestProc(Proc& p, std::string_view aout_path, std::string_view stack_path);
 
@@ -374,8 +373,8 @@ class Kernel {
   void StartMigrationDump(Proc& p);
   void StartCoreDump(Proc& p, int signo);
 
-  // VM syscall dispatch; returns false if the proc blocked/terminated and the run
-  // loop must stop.
+  // Runs VM trap `number` through the system-call table (syscalls.cc); returns
+  // false if the proc blocked/slept/terminated and the run loop must stop.
   bool DispatchVmSyscall(Proc& p, int32_t number);
   void VmFault(Proc& p, vm::Fault fault);
 

@@ -1,13 +1,14 @@
 // System-call implementations, the VM trap dispatcher, and the native SyscallApi.
 //
 // Layout: Kernel::Sys*() hold the semantics and cost charging, shared by both
-// process kinds. DispatchVmSyscall() decodes the trap register convention for VM
-// processes (including the rewind-and-block protocol for interrupted reads — the
-// 4.2BSD restartable-syscall behaviour that lets SIGDUMP hit a process blocked at
-// its input prompt and still produce a restartable image). SyscallApi wraps the
-// same calls for native (tool) processes, adding the yield/block handshake.
+// process kinds. The VM trap table (kVmSyscalls) maps each trap number to its
+// Kernel::Sys* call, and VmTrap holds the trap register convention every entry
+// shares (copy-in, copy-out, errno encoding, the restartable-call rewind, the
+// epilogue). SyscallApi wraps the same calls for native (tool) processes, adding
+// the yield/block handshake.
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "src/kernel/kernel.h"
@@ -644,6 +645,20 @@ Status Kernel::SysRestProc(Proc& p, std::string_view aout_path, std::string_view
   return st;
 }
 
+Result<int64_t> Kernel::SysBrk(Proc& p, int64_t increment) {
+  // sbrk(): grow or shrink the data segment. The dump formats carry the whole
+  // (possibly grown) segment, so heap state migrates like everything else.
+  constexpr int64_t kMaxData = 1 << 20;  // the segment's 1 MB window
+  vm::VmContext& ctx = *p.vm;
+  const int64_t old_size = static_cast<int64_t>(ctx.data.size());
+  if (increment < -old_size || increment > kMaxData - old_size) return Errno::kNoMem;
+  const int64_t new_size = old_size + increment;
+  ctx.data.resize(static_cast<size_t>(new_size), 0);
+  ctx.NoteDataResize(static_cast<size_t>(old_size), static_cast<size_t>(new_size));
+  if (increment > 0) ChargeCpu(p, increment * 50);  // page zeroing
+  return vm::kDataBase + old_size;
+}
+
 // --- Wait / reaping ---------------------------------------------------------------
 
 Result<WaitResult> Kernel::TryWait(Proc& p) {
@@ -742,400 +757,312 @@ void Kernel::RunVmProc(Proc& p) {
   }
 }
 
-bool Kernel::DispatchVmSyscall(Proc& p, int32_t number) {
-  vm::VmContext& ctx = *p.vm;
-  int64_t* r = ctx.cpu.regs;
-  SyscallApi* sink = ApiFor(p.pid);
+// The trap ABI, written once. A program traps with the call number in the SYS
+// immediate and its arguments in r0..r2. VmTrap below is the whole convention:
+// before the handler runs, each argument its table entry marks is copied in, in
+// register order (a path as a NUL-terminated string of at most 1024 bytes, charged
+// per byte to the caller; an input buffer as the bytes at one register's address
+// for the next register's length). A bad pointer fails the call with EFAULT and the
+// handler never runs. The handler leaves a value or -errno in r0. A call that
+// cannot complete yet rewinds the pc onto its SYS instruction and blocks, so it
+// re-executes from the top when woken — the 4.2BSD restartable-syscall behaviour
+// that lets SIGDUMP hit a process blocked at its input prompt and still produce a
+// restartable image. Last, the epilogue turns I/O waits the call accumulated into a
+// sleep and tells the run loop whether the process keeps the CPU.
 
-  auto ret = [&](int64_t v) { r[0] = v; };
-  auto fail = [&](Errno e) { r[0] = -static_cast<int64_t>(e); };
-  auto ret_or_fail = [&](const auto& result) {
-    if (result.ok()) {
-      ret(static_cast<int64_t>(*result));
-    } else {
-      fail(result.error());
-    }
-  };
-  // Reads a NUL-terminated path argument; charges the copyin.
-  auto read_str = [&](int64_t addr, std::string* out) {
-    if (!ctx.ReadCString(static_cast<uint32_t>(addr), 1024, out)) return false;
-    if (sink != nullptr) {
-      sink->ChargeCpu(static_cast<sim::Nanos>(out->size() + 1) * costs_->buffer_copy_per_byte);
+namespace {
+
+enum class Arg : uint8_t {
+  kValue,  // used as is
+  kPath,   // NUL-terminated path name, copied in and charged
+  kBytes,  // input buffer: the address here, the length in the next register
+};
+
+class VmTrap {
+ public:
+  VmTrap(Kernel& kernel, Proc& proc)
+      : k(kernel), p(proc), vm(*proc.vm), r(proc.vm->cpu.regs) {}
+
+  Kernel& k;
+  Proc& p;
+  vm::VmContext& vm;
+  int64_t* r;
+
+  // Copies in every argument `kinds` marks; false (EFAULT in r0) at the first bad
+  // pointer, after charging the paths before it.
+  bool CopyInArgs(const std::array<Arg, 3>& kinds) {
+    for (size_t i = 0; i < kinds.size(); ++i) {
+      std::string& out = in_[i];
+      if (kinds[i] == Arg::kPath) {
+        if (!vm.ReadCString(static_cast<uint32_t>(r[i]), 1024, &out)) return Fault();
+        k.ChargeCpu(p, static_cast<sim::Nanos>(out.size() + 1) * k.costs().buffer_copy_per_byte);
+      } else if (kinds[i] == Arg::kBytes) {
+        // No segment is longer than the larger of data and stack: refuse longer
+        // lengths before allocating for them.
+        const int64_t len = std::max<int64_t>(r[i + 1], 0);
+        if (len > std::max<int64_t>(static_cast<int64_t>(vm.data.size()), vm::kStackMax)) {
+          return Fault();
+        }
+        out.resize(static_cast<size_t>(len));
+        if (!CopyIn(static_cast<int>(i), out.data(), static_cast<uint32_t>(len))) return false;
+      }
     }
     return true;
-  };
-  // Rewinds the pc onto the SYS instruction and blocks (restartable syscall).
-  auto block_on = [&](std::function<bool()> check) {
-    ctx.cpu.pc -= vm::kInstrBytes;
-    BlockProc(p, std::move(check));
-  };
-  // Epilogue: convert accumulated I/O waits to sleep; tell the run loop whether to
-  // keep executing this process.
-  auto epilogue = [&]() {
-    if (SettlePendingWait(p)) return false;
-    return p.state == ProcState::kRunnable;
-  };
-
-  switch (number) {
-    case Sys::kSysExit: {
-      ExitInfo info;
-      info.exit_code = static_cast<int>(r[0]);
-      TerminateProc(p, info);
-      return false;
-    }
-    case Sys::kSysFork:
-      ret_or_fail(SysFork(p));
-      return epilogue();
-    case Sys::kSysRead: {
-      const int fd = static_cast<int>(r[0]);
-      const Result<std::string> out = SysRead(p, fd, r[2]);
-      if (out.error() == Errno::kAgain) {
-        block_on(MakeReadCheck(p, fd));
-        return false;
-      }
-      if (!out.ok()) {
-        fail(out.error());
-        return epilogue();
-      }
-      if (!ctx.WriteBytes(static_cast<uint32_t>(r[1]), static_cast<uint32_t>(out->size()),
-                          reinterpret_cast<const uint8_t*>(out->data()))) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret(static_cast<int64_t>(out->size()));
-      return epilogue();
-    }
-    case Sys::kSysWrite: {
-      std::string data;
-      data.resize(static_cast<size_t>(std::max<int64_t>(r[2], 0)));
-      if (!ctx.ReadBytes(static_cast<uint32_t>(r[1]), static_cast<uint32_t>(data.size()),
-                         reinterpret_cast<uint8_t*>(data.data()))) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret_or_fail(SysWrite(p, static_cast<int>(r[0]), data));
-      return epilogue();
-    }
-    case Sys::kSysOpen: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret_or_fail(SysOpen(p, path, static_cast<int32_t>(r[1]), static_cast<uint16_t>(r[2])));
-      return epilogue();
-    }
-    case Sys::kSysCreat: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret_or_fail(SysCreat(p, path, static_cast<uint16_t>(r[1])));
-      return epilogue();
-    }
-    case Sys::kSysClose: {
-      const Status st = SysClose(p, static_cast<int>(r[0]));
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysWait: {
-      const Result<WaitResult> wr = TryWait(p);
-      if (wr.error() == Errno::kAgain) {
-        const int32_t pid = p.pid;
-        block_on([this, pid] { return WaitReady(pid); });
-        return false;
-      }
-      if (!wr.ok()) {
-        fail(wr.error());
-        return epilogue();
-      }
-      ret(wr->pid);
-      r[1] = wr->overlaid ? 0
-                          : (wr->info.exit_code | (wr->info.killed_by_signal << 8) |
-                             (wr->info.core_dumped ? 1 << 16 : 0));
-      return epilogue();
-    }
-    case Sys::kSysLink: {
-      std::string oldp, newp;
-      if (!read_str(r[0], &oldp) || !read_str(r[1], &newp)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysLink(p, oldp, newp);
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysUnlink: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysUnlink(p, path);
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysMkdir: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysMkdir(p, path, static_cast<uint16_t>(r[1]));
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysRmdir: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysRmdir(p, path);
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysRename: {
-      std::string from, to;
-      if (!read_str(r[0], &from) || !read_str(r[1], &to)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysRename(p, from, to);
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysStat: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Result<StatInfo> info = SysStat(p, path, /*follow=*/true);
-      if (!info.ok()) {
-        fail(info.error());
-        return epilogue();
-      }
-      const uint32_t buf = static_cast<uint32_t>(r[1]);
-      if (!ctx.WriteU64(buf, static_cast<int64_t>(info->type)) ||
-          !ctx.WriteU64(buf + 8, info->size) || !ctx.WriteU64(buf + 16, info->uid) ||
-          !ctx.WriteU64(buf + 24, info->mode)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret(0);
-      return epilogue();
-    }
-    case Sys::kSysChdir: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysChdir(p, path);
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysTime:
-      ret(clock_->now() / sim::kSecond);
-      return epilogue();
-    case Sys::kSysBrk: {
-      // sbrk(): grow or shrink the data segment. The dump formats carry the whole
-      // (possibly grown) segment, so heap state migrates like everything else.
-      constexpr int64_t kMaxData = 1 << 20;  // the segment's 1 MB window
-      const int64_t old_size = static_cast<int64_t>(ctx.data.size());
-      const int64_t new_size = old_size + r[0];
-      if (new_size < 0 || new_size > kMaxData) {
-        fail(Errno::kNoMem);
-        return epilogue();
-      }
-      ctx.data.resize(static_cast<size_t>(new_size), 0);
-      ctx.NoteDataResize(static_cast<size_t>(old_size), static_cast<size_t>(new_size));
-      if (sink != nullptr && r[0] > 0) {
-        sink->ChargeCpu(r[0] * 50);  // page zeroing
-      }
-      ret(vm::kDataBase + old_size);
-      return epilogue();
-    }
-    case Sys::kSysLseek:
-      ret_or_fail(SysLseek(p, static_cast<int>(r[0]), r[1], static_cast<int>(r[2])));
-      return epilogue();
-    case Sys::kSysGetPid:
-      if (config_.virtualize_identity && p.migrated) {
-        ret(p.old_pid);
-      } else {
-        ret(p.pid);
-      }
-      return epilogue();
-    case Sys::kSysGetPidReal:
-      ret(p.pid);
-      return epilogue();
-    case Sys::kSysGetPpid:
-      ret(p.ppid);
-      return epilogue();
-    case Sys::kSysGetUid:
-      ret(p.creds.uid);
-      return epilogue();
-    case Sys::kSysKill: {
-      const Status st = SysKill(p, static_cast<int32_t>(r[0]), static_cast<int>(r[1]));
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysDup:
-      ret_or_fail(SysDup(p, static_cast<int>(r[0])));
-      return epilogue();
-    case Sys::kSysPipe: {
-      const auto fds = SysPipe(p);
-      if (!fds.ok()) {
-        fail(fds.error());
-      } else {
-        r[0] = fds->first;
-        r[1] = fds->second;
-      }
-      return epilogue();
-    }
-    case Sys::kSysSocket: {
-      const auto fds = SysSocket(p);
-      if (!fds.ok()) {
-        fail(fds.error());
-      } else {
-        r[0] = fds->first;
-        r[1] = fds->second;
-      }
-      return epilogue();
-    }
-    case Sys::kSysSignal: {
-      SignalDisposition d;
-      if (r[1] == vm::abi::kSigDfl) {
-        d.action = SignalDisposition::Action::kDefault;
-      } else if (r[1] == vm::abi::kSigIgn) {
-        d.action = SignalDisposition::Action::kIgnore;
-      } else {
-        d.action = SignalDisposition::Action::kCatch;
-        d.handler = static_cast<uint32_t>(r[1]);
-      }
-      const Status st = SysSignal(p, static_cast<int>(r[0]), d);
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysIoctl: {
-      const int fd = static_cast<int>(r[0]);
-      if (r[1] == vm::abi::kTiocGetP) {
-        const Result<uint16_t> flags = SysTtyGet(p, fd);
-        if (!flags.ok()) {
-          fail(flags.error());
-        } else if (!ctx.WriteU16(static_cast<uint32_t>(r[2]), *flags)) {
-          fail(Errno::kFault);
-        } else {
-          ret(0);
-        }
-      } else if (r[1] == vm::abi::kTiocSetP) {
-        uint16_t flags;
-        if (!ctx.ReadU16(static_cast<uint32_t>(r[2]), &flags)) {
-          fail(Errno::kFault);
-        } else {
-          const Status st = SysTtySet(p, fd, flags);
-          st.ok() ? ret(0) : fail(st.error());
-        }
-      } else {
-        fail(Errno::kInval);
-      }
-      return epilogue();
-    }
-    case Sys::kSysReadlink: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Result<std::string> target = SysReadlink(p, path);
-      if (!target.ok()) {
-        fail(target.error());
-        return epilogue();
-      }
-      const int64_t n = std::min<int64_t>(static_cast<int64_t>(target->size()), r[2]);
-      if (!ctx.WriteBytes(static_cast<uint32_t>(r[1]), static_cast<uint32_t>(n),
-                          reinterpret_cast<const uint8_t*>(target->data()))) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret(n);
-      return epilogue();
-    }
-    case Sys::kSysExecve: {
-      std::string path;
-      if (!read_str(r[0], &path)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysExecve(p, path, {});
-      if (!st.ok()) {
-        fail(st.error());
-        return epilogue();
-      }
-      // Registers belong to the new image now; do not touch r0.
-      return epilogue();
-    }
-    case Sys::kSysGetHostname:
-    case Sys::kSysGetHostnameReal: {
-      const std::string& name = (number == Sys::kSysGetHostname &&
-                                 config_.virtualize_identity && p.migrated)
-                                    ? p.old_host
-                                    : hostname_;
-      const int64_t cap = r[1];
-      if (static_cast<int64_t>(name.size()) + 1 > cap ||
-          !ctx.WriteCString(static_cast<uint32_t>(r[0]), name)) {
-        fail(Errno::kFault);
-      } else {
-        ret(0);
-      }
-      return epilogue();
-    }
-    case Sys::kSysSetReUid: {
-      const Status st =
-          SysSetReUid(p, static_cast<int32_t>(r[0]), static_cast<int32_t>(r[1]));
-      st.ok() ? ret(0) : fail(st.error());
-      return epilogue();
-    }
-    case Sys::kSysGetCwd: {
-      const Result<std::string> cwd = SysGetCwd(p);
-      if (!cwd.ok()) {
-        fail(cwd.error());
-        return epilogue();
-      }
-      if (static_cast<int64_t>(cwd->size()) + 1 > r[1] ||
-          !ctx.WriteCString(static_cast<uint32_t>(r[0]), *cwd)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      ret(0);
-      return epilogue();
-    }
-    case Sys::kSysSleep: {
-      ret(0);
-      SleepProc(p, r[0] * sim::kSecond);
-      return false;
-    }
-    case Sys::kSysRestProc: {
-      std::string aout, stack;
-      if (!read_str(r[0], &aout) || !read_str(r[1], &stack)) {
-        fail(Errno::kFault);
-        return epilogue();
-      }
-      const Status st = SysRestProc(p, aout, stack);
-      if (!st.ok()) {
-        fail(st.error());
-        return epilogue();
-      }
-      // The process is now the restored program; its registers are the dumped
-      // ones. It may have been put to sleep to cover the dump-file I/O.
-      return p.state == ProcState::kRunnable;
-    }
-    default:
-      fail(Errno::kInval);
-      return epilogue();
   }
+  // The argument copied in from register `i`.
+  std::string_view in(int i) const { return in_[static_cast<size_t>(i)]; }
+
+  // Moves `len` bytes between the caller's memory at the address in register `reg`
+  // and the kernel; false (EFAULT in r0) when the range is not mapped.
+  bool CopyIn(int reg, void* out, uint32_t len) {
+    return vm.ReadBytes(static_cast<uint32_t>(r[reg]), len, static_cast<uint8_t*>(out)) ||
+           Fault();
+  }
+  bool CopyOut(int reg, const void* bytes, uint32_t len) {
+    return vm.WriteBytes(static_cast<uint32_t>(r[reg]), len,
+                         static_cast<const uint8_t*>(bytes)) ||
+           Fault();
+  }
+  // Copies `s` and its NUL into the buffer at register `reg`, whose size is in
+  // register reg + 1; a buffer too small is a fault.
+  bool CopyOutString(int reg, const std::string& s) {
+    return (static_cast<int64_t>(s.size()) + 1 <= r[reg + 1] &&
+            vm.WriteCString(static_cast<uint32_t>(r[reg]), s)) ||
+           Fault();
+  }
+
+  void Return(int64_t value) { r[0] = value; }
+  void Fail(Errno e) { Return(-static_cast<int64_t>(e)); }
+  // True when `res` (a Status or a Result) succeeded; otherwise puts -errno in r0.
+  template <typename R>
+  bool Ok(const R& res) {
+    if (!res.ok()) Fail(res.error());
+    return res.ok();
+  }
+  void Return(const Status& st) {
+    if (Ok(st)) Return(0);
+  }
+  template <typename T>
+  void Return(const Result<T>& res) {
+    if (Ok(res)) Return(static_cast<int64_t>(*res));
+  }
+  // pipe() and socket(): the two descriptors in r0 and r1.
+  void Return(const Result<std::pair<int, int>>& fds) {
+    if (!Ok(fds)) return;
+    r[0] = fds->first;
+    r[1] = fds->second;
+  }
+
+  // The call cannot complete yet: block until `check` passes, then re-execute it.
+  void Restart(std::function<bool()> check) {
+    vm.cpu.pc -= vm::kInstrBytes;
+    k.BlockProc(p, std::move(check));
+    Stop();
+  }
+  // The process left the CPU (exited, slept or blocked); skip the epilogue.
+  void Stop() { stopped_ = true; }
+
+  // The epilogue: true when the process keeps running this quantum.
+  bool Finish() {
+    if (stopped_ || k.SettlePendingWait(p)) return false;
+    return p.state == ProcState::kRunnable;
+  }
+
+ private:
+  bool Fault() {
+    Fail(Errno::kFault);
+    return false;
+  }
+
+  std::array<std::string, 3> in_;
+  bool stopped_ = false;
+};
+
+// One system call: its trap number, which registers carry arguments to copy in, and
+// the handler that makes the Kernel::Sys* call.
+struct VmSyscall {
+  Sys number;
+  std::array<Arg, 3> args;
+  void (*handler)(VmTrap&);
+};
+
+int Fd(const VmTrap& t, int reg) { return static_cast<int>(t.r[reg]); }
+uint16_t Mode(const VmTrap& t, int reg) { return static_cast<uint16_t>(t.r[reg]); }
+
+// gethostname(): a migrated process sees its original host when identity is
+// virtualised; gethostname_real() always sees the truth.
+void ReturnHostname(VmTrap& t, bool real) {
+  const bool virtualized = !real && t.k.config().virtualize_identity && t.p.migrated;
+  if (t.CopyOutString(0, virtualized ? t.p.old_host : t.k.hostname())) t.Return(0);
+}
+
+using enum Arg;
+
+constexpr VmSyscall kVmSyscalls[] = {
+    {Sys::kSysExit, {},
+     [](VmTrap& t) {
+       ExitInfo info;
+       info.exit_code = static_cast<int>(t.r[0]);
+       t.k.TerminateProc(t.p, info);
+       t.Stop();
+     }},
+    {Sys::kSysFork, {}, [](VmTrap& t) { t.Return(t.k.SysFork(t.p)); }},
+    {Sys::kSysRead, {},
+     [](VmTrap& t) {
+       const Result<std::string> out = t.k.SysRead(t.p, Fd(t, 0), t.r[2]);
+       if (out.error() == Errno::kAgain) return t.Restart(t.k.MakeReadCheck(t.p, Fd(t, 0)));
+       if (t.Ok(out) && t.CopyOut(1, out->data(), static_cast<uint32_t>(out->size()))) {
+         t.Return(static_cast<int64_t>(out->size()));
+       }
+     }},
+    {Sys::kSysWrite, {kValue, kBytes},
+     [](VmTrap& t) { t.Return(t.k.SysWrite(t.p, Fd(t, 0), t.in(1))); }},
+    {Sys::kSysOpen, {kPath},
+     [](VmTrap& t) {
+       t.Return(t.k.SysOpen(t.p, t.in(0), static_cast<int32_t>(t.r[1]), Mode(t, 2)));
+     }},
+    {Sys::kSysClose, {}, [](VmTrap& t) { t.Return(t.k.SysClose(t.p, Fd(t, 0))); }},
+    {Sys::kSysWait, {},
+     [](VmTrap& t) {
+       const Result<WaitResult> wr = t.k.TryWait(t.p);
+       if (wr.error() == Errno::kAgain) {
+         Kernel* k = &t.k;
+         return t.Restart([k, pid = t.p.pid] { return k->WaitReady(pid); });
+       }
+       if (!t.Ok(wr)) return;
+       t.Return(wr->pid);
+       t.r[1] = wr->overlaid ? 0
+                             : (wr->info.exit_code | (wr->info.killed_by_signal << 8) |
+                                (wr->info.core_dumped ? 1 << 16 : 0));
+     }},
+    {Sys::kSysCreat, {kPath},
+     [](VmTrap& t) { t.Return(t.k.SysCreat(t.p, t.in(0), Mode(t, 1))); }},
+    {Sys::kSysLink, {kPath, kPath},
+     [](VmTrap& t) { t.Return(t.k.SysLink(t.p, t.in(0), t.in(1))); }},
+    {Sys::kSysUnlink, {kPath}, [](VmTrap& t) { t.Return(t.k.SysUnlink(t.p, t.in(0))); }},
+    {Sys::kSysChdir, {kPath}, [](VmTrap& t) { t.Return(t.k.SysChdir(t.p, t.in(0))); }},
+    {Sys::kSysTime, {}, [](VmTrap& t) { t.Return(t.k.clock().now() / sim::kSecond); }},
+    {Sys::kSysBrk, {}, [](VmTrap& t) { t.Return(t.k.SysBrk(t.p, t.r[0])); }},
+    {Sys::kSysLseek, {},
+     [](VmTrap& t) {
+       t.Return(t.k.SysLseek(t.p, Fd(t, 0), t.r[1], static_cast<int>(t.r[2])));
+     }},
+    {Sys::kSysGetPid, {},
+     [](VmTrap& t) {
+       const bool virtualized = t.k.config().virtualize_identity && t.p.migrated;
+       t.Return(virtualized ? t.p.old_pid : t.p.pid);
+     }},
+    {Sys::kSysKill, {},
+     [](VmTrap& t) {
+       t.Return(t.k.SysKill(t.p, static_cast<int32_t>(t.r[0]), static_cast<int>(t.r[1])));
+     }},
+    {Sys::kSysStat, {kPath},
+     [](VmTrap& t) {
+       const Result<StatInfo> info = t.k.SysStat(t.p, t.in(0), /*follow=*/true);
+       if (!t.Ok(info)) return;
+       const int64_t quads[4] = {static_cast<int64_t>(info->type), info->size, info->uid,
+                                 info->mode};
+       if (t.CopyOut(1, quads, sizeof quads)) t.Return(0);
+     }},
+    {Sys::kSysDup, {}, [](VmTrap& t) { t.Return(t.k.SysDup(t.p, Fd(t, 0))); }},
+    {Sys::kSysPipe, {}, [](VmTrap& t) { t.Return(t.k.SysPipe(t.p)); }},
+    {Sys::kSysSignal, {},
+     [](VmTrap& t) {
+       SignalDisposition d;
+       if (t.r[1] == vm::abi::kSigDfl) {
+         d.action = SignalDisposition::Action::kDefault;
+       } else if (t.r[1] == vm::abi::kSigIgn) {
+         d.action = SignalDisposition::Action::kIgnore;
+       } else {
+         d.action = SignalDisposition::Action::kCatch;
+         d.handler = static_cast<uint32_t>(t.r[1]);
+       }
+       t.Return(t.k.SysSignal(t.p, static_cast<int>(t.r[0]), d));
+     }},
+    {Sys::kSysIoctl, {},
+     [](VmTrap& t) {
+       uint16_t flags = 0;
+       if (t.r[1] == vm::abi::kTiocGetP) {
+         const Result<uint16_t> got = t.k.SysTtyGet(t.p, Fd(t, 0));
+         if (t.Ok(got) && t.CopyOut(2, &*got, sizeof flags)) t.Return(0);
+       } else if (t.r[1] == vm::abi::kTiocSetP) {
+         if (t.CopyIn(2, &flags, sizeof flags)) t.Return(t.k.SysTtySet(t.p, Fd(t, 0), flags));
+       } else {
+         t.Fail(Errno::kInval);
+       }
+     }},
+    {Sys::kSysReadlink, {kPath},
+     [](VmTrap& t) {
+       const Result<std::string> target = t.k.SysReadlink(t.p, t.in(0));
+       if (!t.Ok(target)) return;
+       const int64_t n = std::min<int64_t>(static_cast<int64_t>(target->size()), t.r[2]);
+       if (t.CopyOut(1, target->data(), static_cast<uint32_t>(n))) t.Return(n);
+     }},
+    // On success the registers belong to the new image: r0 is not touched.
+    {Sys::kSysExecve, {kPath}, [](VmTrap& t) { t.Ok(t.k.SysExecve(t.p, t.in(0), {})); }},
+    {Sys::kSysGetHostname, {}, [](VmTrap& t) { ReturnHostname(t, /*real=*/false); }},
+    {Sys::kSysSetReUid, {},
+     [](VmTrap& t) {
+       t.Return(t.k.SysSetReUid(t.p, static_cast<int32_t>(t.r[0]), static_cast<int32_t>(t.r[1])));
+     }},
+    {Sys::kSysGetUid, {}, [](VmTrap& t) { t.Return(t.p.creds.uid); }},
+    {Sys::kSysGetPpid, {}, [](VmTrap& t) { t.Return(t.p.ppid); }},
+    // The sleep is computed from r0 after the 0 result is stored there, so the
+    // call waits only for the I/O time already pending.
+    {Sys::kSysSleep, {},
+     [](VmTrap& t) {
+       t.Return(0);
+       t.k.SleepProc(t.p, t.r[0] * sim::kSecond);
+       t.Stop();
+     }},
+    {Sys::kSysSocket, {}, [](VmTrap& t) { t.Return(t.k.SysSocket(t.p)); }},
+    {Sys::kSysGetCwd, {},
+     [](VmTrap& t) {
+       const Result<std::string> cwd = t.k.SysGetCwd(t.p);
+       if (t.Ok(cwd) && t.CopyOutString(0, *cwd)) t.Return(0);
+     }},
+    // On success the process is the restored program, registers and all; it may be
+    // asleep covering the dump-file I/O.
+    {Sys::kSysRestProc, {kPath, kPath},
+     [](VmTrap& t) { t.Ok(t.k.SysRestProc(t.p, t.in(0), t.in(1))); }},
+    {Sys::kSysGetPidReal, {}, [](VmTrap& t) { t.Return(t.p.pid); }},
+    {Sys::kSysGetHostnameReal, {}, [](VmTrap& t) { ReturnHostname(t, /*real=*/true); }},
+    {Sys::kSysRename, {kPath, kPath},
+     [](VmTrap& t) { t.Return(t.k.SysRename(t.p, t.in(0), t.in(1))); }},
+    {Sys::kSysMkdir, {kPath},
+     [](VmTrap& t) { t.Return(t.k.SysMkdir(t.p, t.in(0), Mode(t, 1))); }},
+    {Sys::kSysRmdir, {kPath}, [](VmTrap& t) { t.Return(t.k.SysRmdir(t.p, t.in(0))); }},
+};
+
+static_assert(std::size(kVmSyscalls) == std::size(vm::abi::kSysNames),
+              "every system call in vm/abi.h needs a trap table entry");
+
+// kVmSyscalls indexed by trap number.
+constexpr size_t kVmSyscallSlots = [] {
+  int32_t max = 0;
+  for (const VmSyscall& s : kVmSyscalls) max = std::max<int32_t>(max, s.number);
+  return static_cast<size_t>(max) + 1;
+}();
+constexpr auto kVmSyscallByNumber = [] {
+  std::array<const VmSyscall*, kVmSyscallSlots> index{};
+  for (const VmSyscall& s : kVmSyscalls) index[static_cast<size_t>(s.number)] = &s;
+  return index;
+}();
+
+}  // namespace
+
+bool Kernel::DispatchVmSyscall(Proc& p, int32_t number) {
+  VmTrap trap(*this, p);
+  const VmSyscall* call =
+      number >= 0 && static_cast<size_t>(number) < kVmSyscallByNumber.size()
+          ? kVmSyscallByNumber[static_cast<size_t>(number)]
+          : nullptr;
+  if (call == nullptr) {
+    trap.Fail(Errno::kInval);
+  } else if (trap.CopyInArgs(call->args)) {
+    call->handler(trap);
+  }
+  return trap.Finish();
 }
 
 // --- SyscallApi (native processes) -------------------------------------------------

@@ -45,7 +45,6 @@ struct Histogram {
 };
 
 class CounterHandle;
-class HistogramHandle;
 
 class MetricsRegistry {
  public:
@@ -91,11 +90,9 @@ class MetricsRegistry {
   // record. Cheap to construct; safe to keep for the registry's lifetime (Clear()
   // bumps a generation counter and the handle transparently re-resolves).
   CounterHandle MakeCounter(std::string_view name, bool gauge = false);
-  HistogramHandle MakeHistogram(std::string_view name);
 
  private:
   friend class CounterHandle;
-  friend class HistogramHandle;
 
   static int64_t& Slot(CounterMap& map, std::string_view name) {
     auto it = map.find(name);
@@ -149,41 +146,8 @@ class CounterHandle {
   uint64_t generation_ = 0;
 };
 
-class HistogramHandle {
- public:
-  HistogramHandle() = default;
-
-  void Observe(Nanos value) {
-    if (registry_ == nullptr || !registry_->enabled_) return;
-    if (slot_ == nullptr || generation_ != registry_->generation_) Rebind();
-    slot_->Record(value);
-  }
-
- private:
-  friend class MetricsRegistry;
-  HistogramHandle(MetricsRegistry* registry, std::string name)
-      : registry_(registry), name_(std::move(name)) {}
-
-  void Rebind() {
-    auto it = registry_->histograms_.find(name_);
-    if (it == registry_->histograms_.end()) {
-      it = registry_->histograms_.emplace(name_, Histogram{}).first;
-    }
-    slot_ = &it->second;
-    generation_ = registry_->generation_;
-  }
-
-  MetricsRegistry* registry_ = nullptr;
-  std::string name_;
-  Histogram* slot_ = nullptr;
-  uint64_t generation_ = 0;
-};
-
 inline CounterHandle MetricsRegistry::MakeCounter(std::string_view name, bool gauge) {
   return CounterHandle(this, std::string(name), gauge);
-}
-inline HistogramHandle MetricsRegistry::MakeHistogram(std::string_view name) {
-  return HistogramHandle(this, std::string(name));
 }
 
 // Minimal JSON string escaping for report writers (quotes, backslashes, control

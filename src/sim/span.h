@@ -105,27 +105,6 @@ class SpanLog {
   std::vector<SpanRecord> spans_;
 };
 
-// RAII span: opens on construction, closes on destruction. A null log (or a
-// disabled one) makes the scope a no-op, so instrumentation sites never branch.
-class SpanScope {
- public:
-  SpanScope(SpanLog* log, std::string phase, std::string host, int32_t pid)
-      : log_(log),
-        id_(log != nullptr ? log->Begin(std::move(phase), std::move(host), pid) : 0) {}
-  ~SpanScope() {
-    if (id_ != 0) log_->End(id_);
-  }
-
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
-  uint64_t id() const { return id_; }
-
- private:
-  SpanLog* log_;
-  uint64_t id_;
-};
-
 }  // namespace pmig::sim
 
 #endif  // PMIG_SRC_SIM_SPAN_H_

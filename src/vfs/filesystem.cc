@@ -60,11 +60,4 @@ Status Filesystem::Unlink(const InodePtr& dir, const std::string& name) {
   return Status::Ok();
 }
 
-Result<InodePtr> Filesystem::Lookup(const InodePtr& dir, const std::string& name) const {
-  if (!dir || !dir->IsDir()) return Errno::kNotDir;
-  auto it = dir->entries.find(name);
-  if (it == dir->entries.end()) return Errno::kNoEnt;
-  return it->second;
-}
-
 }  // namespace pmig::vfs

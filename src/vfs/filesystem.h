@@ -39,8 +39,6 @@ class Filesystem {
   // Removes a directory entry; directories must be empty (kNotDir semantics follow
   // 4.2BSD: unlink on a directory is refused with kIsDir).
   Status Unlink(const InodePtr& dir, const std::string& name);
-  // Looks a component up; nullptr result encoded as kNoEnt.
-  Result<InodePtr> Lookup(const InodePtr& dir, const std::string& name) const;
 
   int64_t live_inodes() const { return live_inodes_; }
 

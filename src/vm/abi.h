@@ -4,12 +4,14 @@
 // Numbers follow 4.2BSD where the call existed there; the paper's additions
 // (SIGDUMP, rest_proc(), and the Section 7 "real identity" calls) take numbers past
 // the historical ones. The assembler predefines every symbolic name in this header
-// so test programs read like real Unix assembly.
+// (a system call as SYS_<name> from kSysNames) so test programs read like real Unix
+// assembly.
 
 #ifndef PMIG_SRC_VM_ABI_H_
 #define PMIG_SRC_VM_ABI_H_
 
 #include <cstdint>
+#include <string_view>
 
 namespace pmig::vm::abi {
 
@@ -54,6 +56,51 @@ enum Sys : int32_t {
   kSysRestProc = 100,    // r0 = a.out path, r1 = stack-file path
   kSysGetPidReal = 101,      // Section 7 proposal: true pid regardless of migration
   kSysGetHostnameReal = 102, // Section 7 proposal: true hostname
+};
+
+// Every system call's name, once: the assembler's SYS_<name> symbols come from
+// here, and the kernel's trap table covers exactly these numbers.
+struct SysName {
+  Sys number;
+  std::string_view name;
+};
+inline constexpr SysName kSysNames[] = {
+    {kSysExit, "exit"},
+    {kSysFork, "fork"},
+    {kSysRead, "read"},
+    {kSysWrite, "write"},
+    {kSysOpen, "open"},
+    {kSysClose, "close"},
+    {kSysWait, "wait"},
+    {kSysCreat, "creat"},
+    {kSysLink, "link"},
+    {kSysUnlink, "unlink"},
+    {kSysChdir, "chdir"},
+    {kSysTime, "time"},
+    {kSysBrk, "brk"},
+    {kSysLseek, "lseek"},
+    {kSysGetPid, "getpid"},
+    {kSysKill, "kill"},
+    {kSysDup, "dup"},
+    {kSysPipe, "pipe"},
+    {kSysSignal, "signal"},
+    {kSysIoctl, "ioctl"},
+    {kSysReadlink, "readlink"},
+    {kSysExecve, "execve"},
+    {kSysGetHostname, "gethostname"},
+    {kSysSetReUid, "setreuid"},
+    {kSysGetUid, "getuid"},
+    {kSysGetPpid, "getppid"},
+    {kSysSleep, "sleep"},
+    {kSysSocket, "socket"},
+    {kSysGetCwd, "getcwd"},
+    {kSysRename, "rename"},
+    {kSysMkdir, "mkdir"},
+    {kSysRmdir, "rmdir"},
+    {kSysStat, "stat"},
+    {kSysRestProc, "rest_proc"},
+    {kSysGetPidReal, "getpid_real"},
+    {kSysGetHostnameReal, "gethostname_real"},
 };
 
 // open() flags (4.2BSD values, octal).

@@ -69,6 +69,21 @@ std::vector<std::string> OrphanedDumpFiles(World& world, const std::string& host
   return orphans;
 }
 
+// Live incarnations of brick's process `pid`: the original, still on brick, or
+// a migrant/revival carrying its identity on any host.
+int Incarnations(World& world, int32_t pid) {
+  int copies = 0;
+  for (const std::string host : {"brick", "schooner", "brador"}) {
+    for (kernel::Proc* p : world.host(host).ListProcs()) {
+      if (p->kind != kernel::ProcKind::kVm || !p->Alive()) continue;
+      const bool original = host == "brick" && p->pid == pid && p->old_pid == 0;
+      const bool migrant = p->old_pid == pid && p->old_host == "brick";
+      if (original || migrant) ++copies;
+    }
+  }
+  return copies;
+}
+
 // One full soak run. Returns a fingerprint covering everything observable:
 // the final virtual clock, each migration's exit code, the per-host survivor
 // counts, and every aggregated metric counter. Two runs with the same seed
@@ -194,22 +209,11 @@ std::string RunChaos(uint64_t seed, bool with_partitions = false) {
   EXPECT_EQ(total_alive, kVictims) << "seed " << seed << " lost a process";
 
   if (with_partitions) {
-    // Exactly-once across the heal: every victim exists exactly once — either
-    // still under its original identity on brick, or as the one migrant/revival
-    // carrying that identity. Two copies would mean a fallback restart AND a
-    // reaper resurrection of the same dump set.
+    // Exactly-once across the heal: two copies would mean a fallback restart
+    // AND a reaper resurrection of the same dump set.
     for (const int32_t pid : victims) {
-      int copies = 0;
-      for (const std::string host : {"brick", "schooner", "brador"}) {
-        for (kernel::Proc* p : world.host(host).ListProcs()) {
-          if (p->kind != kernel::ProcKind::kVm || !p->Alive()) continue;
-          const bool original = host == "brick" && p->pid == pid && p->old_pid == 0;
-          const bool migrant = p->old_pid == pid && p->old_host == "brick";
-          if (original || migrant) ++copies;
-        }
-      }
-      EXPECT_EQ(copies, 1) << "seed " << seed << ": victim " << pid << " exists "
-                           << copies << " times";
+      EXPECT_EQ(Incarnations(world, pid), 1)
+          << "seed " << seed << ": victim " << pid << " is not live exactly once";
     }
   }
 
@@ -268,6 +272,80 @@ TEST_P(PartitionChaosSoak, NothingLostNothingDuplicatedDeterministicReplay) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionChaosSoak, ::testing::Values(1u, 2u, 3u));
+
+// NFS soak: migrate --robust, every other leg --cached, while remote file I/O
+// fails with EIO at random. The faults land on the restart's reads of the dump
+// set and its claim across NFS, and on the cached path's remote segment fetch;
+// the transaction must absorb every one: each victim live exactly once, no dump,
+// claim or lease file left behind, and the whole run replaying bit for bit.
+std::string RunNfsSoak(uint64_t seed) {
+  test::WorldOptions options;
+  options.num_hosts = 3;
+  options.metrics = true;
+  options.dirty_tracking = true;  // migrate --cached fetches segments over NFS
+  options.faults.enabled = true;
+  options.faults.seed = seed;
+  options.faults.nfs_error_rate = 0.2;
+  World world(options);
+
+  core::InstallProgram(world.host("brick"), "/bin/ticker", kTickerSource);
+  std::vector<int32_t> victims;
+  for (int i = 0; i < kVictims; ++i) victims.push_back(world.StartVm("brick", "/bin/ticker"));
+  world.cluster().RunFor(sim::Seconds(2));
+
+  net::Network* net = &world.cluster().network();
+  std::ostringstream fp;
+  for (int i = 0; i < kVictims; ++i) {
+    const int32_t pid = victims[static_cast<size_t>(i)];
+    const std::string target = (i % 2 == 0) ? "schooner" : "brador";
+    core::MigrateOptions mopts = core::MigrateOptions::Robust();
+    mopts.cached = i % 2 == 1;
+    auto rc = std::make_shared<int>(-1);
+    kernel::SpawnOptions opts;
+    opts.creds = {kUserUid, 10, kUserUid, 10};
+    const int32_t mig = world.host("brick").SpawnNative(
+        "migrate",
+        [rc, net, pid, target, mopts](SyscallApi& api) {
+          *rc = core::Migrate(api, *net, pid, "brick", target, /*use_daemon=*/false, mopts);
+          return *rc;
+        },
+        opts);
+    EXPECT_TRUE(world.RunUntilExited("brick", mig, sim::Seconds(600)));
+    fp << "rc" << i << "=" << *rc << ";";
+  }
+  world.cluster().faults().Disarm();
+  world.cluster().RunFor(sim::Seconds(40));
+
+  for (const int32_t pid : victims) {
+    EXPECT_EQ(Incarnations(world, pid), 1)
+        << "seed " << seed << ": victim " << pid << " is not live exactly once";
+  }
+  for (const std::string host : {"brick", "schooner", "brador"}) {
+    fp << host << "=" << CountAliveVms(world, host) << ";";
+    for (const std::string& orphan : OrphanedDumpFiles(world, host)) {
+      ADD_FAILURE() << "seed " << seed << ": orphaned dump file " << orphan;
+    }
+    EXPECT_FALSE(world.FileExists(host, "/var/lease/placement"))
+        << "seed " << seed << ": leaked placement lease on " << host;
+  }
+  fp << "t=" << world.cluster().clock().now() << ";";
+  const sim::MetricsRegistry metrics = world.cluster().AggregateMetrics();
+  for (const auto& [name, value] : metrics.counters()) fp << name << "=" << value << ";";
+  EXPECT_GT(metrics.Counter("fault.injected.nfs_io"), 0) << "seed " << seed;
+  EXPECT_GT(metrics.Counter("cache.text.misses"), 0) << "seed " << seed << ": no remote fetch";
+  return fp.str();
+}
+
+class NfsErrorSoak : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(NfsErrorSoak, ExactlyOnceNoLeaksDeterministicReplay) {
+  const uint64_t seed = GetParam();
+  const std::string first = RunNfsSoak(seed);
+  const std::string second = RunNfsSoak(seed);
+  EXPECT_EQ(first, second) << "seed " << seed << " did not replay deterministically";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NfsErrorSoak, ::testing::Values(1u, 2u, 3u));
 
 }  // namespace
 }  // namespace pmig

@@ -173,14 +173,6 @@ TEST(SpanLog, NestedSelfTimesPartitionTheRoot) {
   EXPECT_EQ(sum, log.Find(root)->duration());
 }
 
-TEST(SpanLog, SpanScopeIsNullSafe) {
-  { sim::SpanScope scope(nullptr, "dump", "brick", 1); }
-  sim::VirtualClock clock;
-  sim::SpanLog log(&clock, nullptr);
-  { sim::SpanScope scope(&log, "dump", "brick", 1); }  // disabled log
-  EXPECT_TRUE(log.spans().empty());
-}
-
 // The acceptance test: remote-to-remote migrate, phase breakdown sums to the
 // end-to-end time, and the written report carries the same numbers.
 TEST(Observability, MigrationPhaseBreakdownSumsToEndToEnd) {
@@ -455,8 +447,24 @@ TEST(Observability, ChromeTraceParsesAndBeginsMatchEnds) {
   EXPECT_NE(report.str().find("\"p50_ns\":"), std::string::npos);
 }
 
-// With metrics on, HostLoad reads the scheduler gauge; it must agree with a
-// direct process-table scan (what the metrics-off fallback does).
+// The sampler keeps only the newest kSampleHistoryPerHost snapshots of each host.
+TEST(Observability, SamplerHistoryKeepsTheNewestSnapshotsPerHost) {
+  WorldOptions options;
+  options.sample_period = sim::Millis(10);
+  World world(options);
+  world.StartVm("brick", "/bin/hog", {"hog", "1000000000"});
+  world.cluster().RunFor(sim::Seconds(3));  // ~300 sampler edges
+
+  const auto& samples = world.cluster().samples();
+  const size_t hosts = world.cluster().hosts().size();
+  ASSERT_EQ(samples.size(), cluster::kSampleHistoryPerHost * hosts);
+  EXPECT_EQ(samples.front().host, "brick");  // whole edges were dropped
+  EXPECT_EQ(samples.back().at, world.cluster().clock().now());
+  EXPECT_EQ(samples.back().at - samples.front().at,
+            static_cast<sim::Nanos>(cluster::kSampleHistoryPerHost - 1) * sim::Millis(10));
+}
+
+// With metrics on, HostLoad must still agree with a direct process-table scan.
 TEST(Observability, HostLoadGaugeMatchesProcessTableScan) {
   WorldOptions options;
   options.num_hosts = 2;
@@ -479,6 +487,28 @@ TEST(Observability, HostLoadGaugeMatchesProcessTableScan) {
   EXPECT_EQ(loads[0].first, "brick");
   EXPECT_GE(loads[0].second, 2);  // 3 hogs minus at most the one on cpu
   EXPECT_EQ(loads[1].second, 0);
+}
+
+// A process that blocks mid-quantum leaves the sched.runnable_vm gauge (set at
+// quantum start) counting it until the host's next quantum. HostLoad must see
+// the process table as it is now, metrics on or off.
+TEST(Observability, HostLoadIgnoresAGaugeStaleAfterAMidQuantumBlock) {
+  WorldOptions options;
+  options.metrics = true;
+  World world(options);
+  core::InstallProgram(world.host("brick"), "/bin/waiter", R"(
+start:  movi r0, 0
+        movi r1, buf
+        movi r2, 8
+        sys  SYS_read
+        movi r0, 0
+        sys  SYS_exit
+        .data
+buf:    .space 8
+)");
+  const int32_t pid = world.StartVm("brick", "/bin/waiter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));  // stops right after that quantum
+  EXPECT_EQ(apps::HostLoad(world.host("brick")), 0);
 }
 
 }  // namespace
