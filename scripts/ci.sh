@@ -19,7 +19,10 @@ cmake -B build-asan -S . -DPMIG_SANITIZE=address >/dev/null
 cmake --build build-asan -j
 
 echo "== ASan ctest =="
-(cd build-asan && ctest --output-on-failure --timeout 300 -j)
+# Fake stacks make every native-task fiber switch carry stack-use-after-return
+# state across stacks; run with them on so a missed switch annotation shows.
+(cd build-asan && ASAN_OPTIONS=detect_stack_use_after_return=1 \
+    ctest --output-on-failure --timeout 300 -j)
 
 echo "== UBSan build =="
 cmake -B build-ubsan -S . -DPMIG_SANITIZE=undefined >/dev/null

@@ -274,7 +274,7 @@ void PlacementEngine::RecordDecision(const PlacementQuery& query, bool from_inde
       }
     }
     if (listed) {
-      r.exclusions.push_back({name, query.exclude_reason, 0});
+      r.exclusions.push_back({name, "lease-contended", 0});
       continue;
     }
     if (!query.reachable_from.empty() && name != query.reachable_from &&

@@ -70,7 +70,8 @@ struct PlacementQuery {
   bool occupancy = false;
   // Hosts to leave out entirely — a coordinator that failed to win a target's
   // placement lease re-picks with the loser added here, so lease contention
-  // spreads the herd instead of deadlocking it.
+  // spreads the herd instead of deadlocking it (hence the "lease-contended"
+  // reason the decision log records against them).
   std::vector<std::string> exclude;
   // Incrementally maintained placement state (see cluster_index.h). When set,
   // loads come from the index's entries and PickTarget walks its maintained
@@ -87,10 +88,6 @@ struct PlacementQuery {
   // "night-shift", "evacuation", "reaper"). Recorded verbatim; never read by
   // the pick itself.
   std::string context;
-  // The reason recorded against `exclude` hosts in the decision log. Every
-  // current excluder is a lease re-pick loop, hence the default; a future
-  // caller excluding for another reason labels it here.
-  std::string exclude_reason = "lease-contended";
 };
 
 // One candidate's signals, in network host order.

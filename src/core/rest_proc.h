@@ -12,7 +12,7 @@
 namespace pmig::core {
 
 // On success the caller has become the restored program (a VM process resuming at
-// the dumped pc) and this returns Ok; native callers must then unwind their thread
+// the dumped pc) and this returns Ok; native callers must then unwind their stack
 // (SyscallApi::RestProc throws BecameVm). On failure the caller is untouched —
 // "if the system call does return, ... something was wrong with the two files".
 Status RestProcImpl(kernel::Kernel& k, kernel::Proc& p, const std::string& aout_path,

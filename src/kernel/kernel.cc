@@ -27,7 +27,7 @@ Kernel::Kernel(std::string hostname, sim::VirtualClock* clock, const sim::CostMo
 }
 
 Kernel::~Kernel() {
-  // Unwind native threads before anything they might reference is destroyed.
+  // Unwind native tasks' stacks before anything they might reference is destroyed.
   for (auto& proc : procs_) {
     if (proc->native != nullptr) {
       proc->native.reset();
@@ -369,7 +369,7 @@ void Kernel::HandleNativeFinish(Proc& p) {
   NativeTask* task = p.native.get();
   if (task->became_vm()) {
     // rest_proc() succeeded: the process was overlaid with the restarted program.
-    // Only the C++ thread ends; the process (now kVm) keeps running.
+    // Only the C++ call stack ends; the process (now kVm) keeps running.
     p.native.reset();
     Trace(sim::TraceCategory::kMigration, p.pid, "native task overlaid by rest_proc");
     return;

@@ -111,7 +111,7 @@ struct MigrationHooks {
   std::function<Result<PreparedDump>(Kernel&, Proc&)> sigdump;
   // rest_proc(): overlays `proc` with the dumped process. On success the proc has
   // become a running VM process and, for native callers, the hook does not return
-  // (BecameVm unwinds the thread). Returns an errno on failure.
+  // (BecameVm unwinds the task's stack). Returns an errno on failure.
   std::function<Status(Kernel&, Proc&, const std::string& aout_path,
                        const std::string& stack_path)>
       rest_proc;
@@ -423,7 +423,6 @@ class Kernel {
   size_t rr_cursor_ = 0;
   int32_t last_run_pid_ = -1;
   sim::Nanos quantum_left_ = 0;
-  sim::Nanos reaped_cpu_ = 0;
 
   // The Section 5.2 "global flag" protocol between rest_proc() and execve().
   bool restproc_flag_ = false;
@@ -506,7 +505,6 @@ class SyscallApi : public vfs::CostSink {
   Result<bool> DumpFailed(int32_t target_pid);
   Status SetReUid(int32_t ruid, int32_t euid);
   int32_t GetPid();
-  int32_t GetPpid();
   int32_t GetUid();
   int32_t GetEuid();
   std::string GetHostname();

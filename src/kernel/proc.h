@@ -8,10 +8,10 @@
 //
 // Two process kinds exist:
 //   * kVm: runs machine code on the simulated CPU; fully migratable.
-//   * kNative: a C++ callable on a parked host thread (the dumpproc/restart/migrate
-//     tools, shells, daemons). Scheduled and time-charged like any process, but its
-//     state lives in a C++ stack, so SIGDUMP cannot dump it (the paper's tools are
-//     not themselves migratable either).
+//   * kNative: a C++ callable running as a fiber on its own stack (the
+//     dumpproc/restart/migrate tools, shells, daemons). Scheduled and time-charged
+//     like any process, but its state lives in a C++ stack, so SIGDUMP cannot dump
+//     it (the paper's tools are not themselves migratable either).
 
 #ifndef PMIG_SRC_KERNEL_PROC_H_
 #define PMIG_SRC_KERNEL_PROC_H_

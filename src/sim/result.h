@@ -3,7 +3,7 @@
 // Fallible operations return Result<T>, which carries either a value or a Unix-style
 // errno. This mirrors the syscall interface of the simulated kernel: a simulated
 // system call that fails with ENOENT surfaces as Result carrying Errno::kNoEnt.
-// Exceptions are reserved for unwinding killed native-process threads (see
+// Exceptions are reserved for unwinding killed native-process stacks (see
 // kernel/native.h); everything else is explicit.
 
 #ifndef PMIG_SRC_SIM_RESULT_H_

@@ -17,7 +17,6 @@ InodePtr Filesystem::NewInode(InodeType type, int32_t uid, uint16_t mode) {
   inode->uid = uid;
   inode->mode = mode;
   inode->fs = this;
-  ++live_inodes_;
   return inode;
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+
 #include "tests/test_util.h"
 
 namespace pmig {
@@ -102,6 +105,68 @@ TEST(KernelProc, TimesAccumulate) {
   ASSERT_NE(p, nullptr);
   EXPECT_GT(p->stime, 0);
   EXPECT_GT(p->utime, 0);
+}
+
+// Native tasks are fibers: their code runs on the thread that drives the
+// simulation, before and after a blocking syscall switches away.
+TEST(KernelProc, NativeTasksRunOnTheCallingThread) {
+  World world;
+  std::thread::id before_sleep;
+  std::thread::id after_sleep;
+  const int code = RunNative(world, [&before_sleep, &after_sleep](SyscallApi& api) {
+    before_sleep = std::this_thread::get_id();
+    api.Sleep(sim::Millis(10));
+    after_sleep = std::this_thread::get_id();
+    return 0;
+  });
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(before_sleep, std::this_thread::get_id());
+  EXPECT_EQ(after_sleep, std::this_thread::get_id());
+}
+
+// Counts how many times an object on a native task's stack was destroyed.
+struct UnwindGuard {
+  int* destroyed;
+  ~UnwindGuard() { ++*destroyed; }
+};
+
+// A task that is killed, or whose kernel goes away while it is blocked, unwinds
+// its own stack: destructors of objects on it run.
+TEST(KernelProc, KilledOrTornDownTaskUnwindsItsStack) {
+  int destroyed = 0;
+  {
+    World world;
+    kernel::Kernel& k = world.host("brick");
+    const int32_t pid = k.SpawnNative("sleeper",
+                                      [&destroyed](SyscallApi& api) {
+                                        UnwindGuard guard{&destroyed};
+                                        api.Sleep(sim::Seconds(3600));
+                                        return 0;
+                                      },
+                                      UserOpts(world));
+    ASSERT_TRUE(world.cluster().RunUntil([&k, pid] {
+      const Proc* p = k.FindProc(pid);
+      return p != nullptr && p->state == ProcState::kSleeping;
+    }));
+    EXPECT_EQ(destroyed, 0);
+    ASSERT_TRUE(k.PostSignal(pid, vm::abi::kSigTerm, nullptr).ok());
+    ASSERT_TRUE(world.RunUntilExited("brick", pid));
+    EXPECT_EQ(world.ExitInfoOf("brick", pid).killed_by_signal, vm::abi::kSigTerm);
+    EXPECT_EQ(destroyed, 1);
+  }
+
+  auto world = std::make_unique<World>();
+  const int32_t pid = world->host("brick").SpawnNative("reader",
+                                                       [&destroyed](SyscallApi& api) {
+                                                         UnwindGuard guard{&destroyed};
+                                                         const auto r = api.Read(0, 1);
+                                                         return r.ok() ? 0 : 1;
+                                                       },
+                                                       UserOpts(*world));
+  ASSERT_TRUE(world->RunUntilBlocked("brick", pid));
+  EXPECT_EQ(destroyed, 1);
+  world.reset();
+  EXPECT_EQ(destroyed, 2);
 }
 
 // --- File descriptors and file syscalls ---
