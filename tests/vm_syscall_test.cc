@@ -52,6 +52,53 @@ bad:    movi r0, 1
   EXPECT_EQ(code, 0);
 }
 
+TEST(VmSyscall, SleepWaitsTheRequestedSeconds) {
+  World world;
+  const int code = RunAsm(world, R"(
+start:  movi r0, 2
+        sys  SYS_sleep
+        movi r1, 0
+        bne  r0, r1, bad1       ; sleep returns 0
+        sys  SYS_time           ; started at boot: at least 2 s have passed
+        movi r1, 2
+        blt  r0, r1, bad2
+        movi r0, 0
+        sys  SYS_exit
+bad1:   movi r0, 1
+        sys  SYS_exit
+bad2:   movi r0, 2
+        sys  SYS_exit
+)");
+  EXPECT_EQ(code, 0);
+}
+
+// A negative duration sleeps 0 s; a huge one is capped instead of overflowing
+// the virtual clock, so the process is still asleep a minute later.
+TEST(VmSyscall, SleepDurationIsClamped) {
+  World world;
+  EXPECT_EQ(RunAsm(world, R"(
+start:  movi r0, -5
+        sys  SYS_sleep
+        sys  SYS_time
+        sys  SYS_exit           ; exit code = seconds since boot
+)"),
+            0);
+  core::InstallProgram(world.host("brick"), "/bin/long", R"(
+start:  movi r0, 1
+        movi r1, 62
+        shl  r0, r0, r1
+        sys  SYS_sleep
+        movi r0, 0
+        sys  SYS_exit
+)");
+  const int32_t pid = world.StartVm("brick", "/bin/long");
+  ASSERT_GT(pid, 0);
+  world.cluster().RunFor(sim::Seconds(60));
+  const kernel::Proc* p = world.host("brick").FindProc(pid);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->state, kernel::ProcState::kSleeping);
+}
+
 TEST(VmSyscall, GetUidAndPpid) {
   World world;
   const int code = RunAsm(world, R"(
