@@ -34,7 +34,7 @@ FreezeResult MeasureFreezeEverything(int dirty_stride, int net_slowdown = 1) {
   const Status st = world.host("brick").PostSignal(pid, vm::abi::kSigDump, nullptr);
   (void)st;
   world.RunUntilExited("brick", pid);
-  kernel::Proc* old_proc = world.host("brick").FindAnyProc(pid);
+  kernel::Proc* old_proc = world.host("brick").FindProc(pid);
   int64_t bytes = 0;
   if (old_proc != nullptr) {
     // Everything crosses the wire after the freeze began.

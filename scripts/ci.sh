@@ -1,8 +1,8 @@
 #!/bin/sh
 # The full verification pipeline, one command: tier-1 build (warnings are
-# errors) + ctest, the ASan and UBSan builds + ctest, the fig4 phase-drift gate,
-# the bench_all baseline comparison and the remaining bench gates. Run from the
-# repository root.
+# errors) + ctest, a Release -Werror compile, the ASan and UBSan builds +
+# ctest, the fig4 phase-drift gate, the bench_all baseline comparison and the
+# remaining bench gates. Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -13,6 +13,12 @@ cmake --build build -j
 
 echo "== tier-1 ctest =="
 (cd build && ctest --output-on-failure --timeout 300 -j)
+
+echo "== Release build (compile only) =="
+# -O3 inlines more than the tier-1 RelWithDebInfo build, and GCC's
+# flow-sensitive warnings (-Wrestrict, -Wmaybe-uninitialized) see more with it.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+cmake --build build-release -j
 
 echo "== ASan build =="
 cmake -B build-asan -S . -DPMIG_SANITIZE=address >/dev/null

@@ -105,7 +105,10 @@ std::string DecisionLog::Render(const DecisionRecord& r) {
   }
   for (const DecisionExclusion& e : r.exclusions) {
     out += "  " + e.host + ": excluded (" + e.reason;
-    if (e.value != 0) out += " " + Num(e.value);
+    if (e.value != 0) {
+      out += " ";
+      out += Num(e.value);
+    }
     out += ")\n";
   }
   return out;
@@ -130,7 +133,10 @@ std::string DecisionLog::CanonicalLine(const DecisionRecord& r) {
     const DecisionExclusion& e = r.exclusions[i];
     if (i != 0) out += "|";
     out += e.host + ":" + e.reason;
-    if (e.value != 0) out += "=" + Num(e.value);
+    if (e.value != 0) {
+      out += "=";
+      out += Num(e.value);
+    }
   }
   out += "]";
   return out;

@@ -152,7 +152,6 @@ class Testbed {
     kernel::SpawnOptions opts;
     opts.creds = {uid, 10, uid, 10};
     opts.tty = on_tty != nullptr ? on_tty : tty(host_name, "ttyp0");
-    opts.cwd = "/";
     const Result<int32_t> pid = k.SpawnProgram(program, std::move(args), opts);
     if (!pid.ok()) return -1;
     return *pid;
@@ -163,10 +162,9 @@ class Testbed {
   // blocked from before the last Type()" does not count).
   bool RunUntilBlocked(std::string_view host_name, int32_t pid,
                        sim::Nanos limit = sim::Seconds(120)) {
-    kernel::Kernel& k = host(host_name);
+    const kernel::Proc* p = host(host_name).FindProc(pid);
     return cluster_->RunUntil(
-        [&k, pid] {
-          const kernel::Proc* p = k.FindProc(pid);
+        [p] {
           if (p == nullptr || p->state != kernel::ProcState::kBlocked) return false;
           return p->controlling_tty == nullptr || !p->controlling_tty->InputReady();
         },
@@ -176,18 +174,13 @@ class Testbed {
   // Runs until `pid` on `host_name` has terminated (zombie or reaped).
   bool RunUntilExited(std::string_view host_name, int32_t pid,
                       sim::Nanos limit = sim::Seconds(600)) {
-    kernel::Kernel& k = host(host_name);
-    return cluster_->RunUntil(
-        [&k, pid] {
-          const kernel::Proc* p = k.FindAnyProc(pid);
-          return p == nullptr || !p->Alive();
-        },
-        limit);
+    const kernel::Proc* p = host(host_name).FindProc(pid);
+    return cluster_->RunUntil([p] { return p == nullptr || !p->Alive(); }, limit);
   }
 
   // Exit info of a (possibly reaped) process.
   kernel::ExitInfo ExitInfoOf(std::string_view host_name, int32_t pid) {
-    kernel::Proc* p = host(host_name).FindAnyProc(pid);
+    kernel::Proc* p = host(host_name).FindProc(pid);
     return p != nullptr ? p->exit_info : kernel::ExitInfo{};
   }
 

@@ -73,8 +73,7 @@ Result<PrecopyStats> PrecopyMigrate(kernel::SyscallApi& api, net::Network& net,
 
   // Further rounds: only what changed since the last shipment.
   for (int round = 2; round <= options.max_rounds; ++round) {
-    src = source.FindProc(pid);
-    if (src == nullptr || !src->Alive()) return Errno::kSrch;  // exited mid-copy
+    if (!src->Alive()) return Errno::kSrch;  // exited mid-copy
     Snapshot live = Snapshot::Of(*src);
     api.ChargeCpu(live.TotalBytes() * 150);  // dirty scan
     const int64_t dirty = DirtyBytes(live, shipped);
@@ -88,8 +87,7 @@ Result<PrecopyStats> PrecopyMigrate(kernel::SyscallApi& api, net::Network& net,
   // Freeze: suspend the process, ship the final dirty set + the kernel state,
   // destroy the original, restart the copy. The process makes no progress from
   // here until the destination continues it — that window is the freeze time.
-  src = source.FindProc(pid);
-  if (src == nullptr || !src->Alive()) return Errno::kSrch;
+  if (!src->Alive()) return Errno::kSrch;
   const sim::Nanos freeze_start = api.Now();
   src->state = kernel::ProcState::kBlocked;
   src->unblock_check = [] { return false; };  // suspended
@@ -155,16 +153,13 @@ Result<PrecopyStats> PrecopyMigrate(kernel::SyscallApi& api, net::Network& net,
         return 1;  // only reached on failure
       },
       opts);
-  api.BlockUntil([target, restart_pid] {
-    const kernel::Proc* p = target->FindAnyProc(restart_pid);
-    if (p == nullptr) return true;
-    if (!p->Alive()) return true;  // restart failed
-    return p->kind == kernel::ProcKind::kVm &&
-           p->state != kernel::ProcState::kSleeping;
+  const kernel::Proc* restarted = target->FindProc(restart_pid);
+  api.BlockUntil([restarted] {
+    if (!restarted->Alive()) return true;  // restart failed
+    return restarted->kind == kernel::ProcKind::kVm &&
+           restarted->state != kernel::ProcState::kSleeping;
   });
-  kernel::Proc* restarted = target->FindAnyProc(restart_pid);
-  if (restarted == nullptr || !restarted->Alive() ||
-      restarted->kind != kernel::ProcKind::kVm) {
+  if (!restarted->Alive() || restarted->kind != kernel::ProcKind::kVm) {
     return Errno::kNoExec;
   }
   stats.new_pid = restart_pid;

@@ -14,14 +14,12 @@ namespace {
 // Charges mapping a `size`-byte file the way the modified execve() maps an
 // a.out: demand-paged, so only the header + first pages are paid for
 // synchronously.
-void ChargeDemandPaged(kernel::Kernel& k, kernel::SyscallApi* sink, int64_t size,
-                       bool remote) {
-  if (sink == nullptr) return;
+void ChargeDemandPaged(kernel::Kernel& k, kernel::Proc& p, int64_t size, bool remote) {
   const sim::CostModel& costs = k.costs();
   const int64_t prefetch = std::min<int64_t>(size, costs.exec_prefetch_bytes);
   const auto io = remote ? costs.NetIo(prefetch) : costs.DiskIo(prefetch);
-  sink->ChargeCpu(io.cpu);
-  sink->ChargeWait(io.wait + (remote ? costs.nfs_rpc : costs.inode_fetch));
+  k.ChargeCpu(p, io.cpu);
+  k.ChargeWait(p, io.wait + (remote ? costs.nfs_rpc : costs.inode_fetch));
 }
 
 // Reads a whole dump file on behalf of `p`, enforcing read permission with the
@@ -30,14 +28,14 @@ void ChargeDemandPaged(kernel::Kernel& k, kernel::SyscallApi* sink, int64_t size
 // `demand_paged` like an executable.
 Result<std::string> ReadDumpFile(kernel::Kernel& k, kernel::Proc& p, const std::string& path,
                                  bool demand_paged) {
-  kernel::SyscallApi* sink = k.ApiFor(p.pid);
+  kernel::SyscallApi* sink = p.api.get();
   PMIG_TRY(vfs::Vfs::Resolved r, k.vfs().Resolve(p.cwd, path, vfs::Follow::kAll, sink));
   if (!r.inode->IsRegular()) return Errno::kNoExec;
   if (!vfs::CheckAccess(*r.inode, p.creds.euid, vfs::kWantRead)) return Errno::kAcces;
   std::string bytes;
   k.vfs().ReadAt(*r.inode, 0, r.inode->size(), &bytes, demand_paged ? nullptr : sink);
-  if (demand_paged && sink != nullptr) {
-    ChargeDemandPaged(k, sink, r.inode->size(), k.vfs().InodeIsRemote(*r.inode));
+  if (demand_paged) {
+    ChargeDemandPaged(k, p, r.inode->size(), k.vfs().InodeIsRemote(*r.inode));
   }
   return bytes;
 }
@@ -57,7 +55,7 @@ Result<std::vector<uint8_t>> FetchSegment(kernel::Kernel& k, kernel::Proc& p,
                                           uint64_t digest, uint32_t expected_size,
                                           const std::string& nfs_prefix,
                                           const char* kind) {
-  kernel::SyscallApi* sink = k.ApiFor(p.pid);
+  kernel::SyscallApi* sink = p.api.get();
   const sim::CostModel& costs = k.costs();
   sim::MetricsRegistry& metrics = k.metrics();
   const std::string hit_name = std::string("cache.") + kind + ".hits";
@@ -72,7 +70,7 @@ Result<std::vector<uint8_t>> FetchSegment(kernel::Kernel& k, kernel::Proc& p,
     std::string bytes;
     k.vfs().ReadAt(*local->inode, 0, local->inode->size(), &bytes, nullptr);
     if (bytes.size() == expected_size && sim::HashBytes(bytes) == digest) {
-      ChargeDemandPaged(k, sink, static_cast<int64_t>(bytes.size()), /*remote=*/false);
+      ChargeDemandPaged(k, p, static_cast<int64_t>(bytes.size()), /*remote=*/false);
       metrics.Inc(hit_name);
       return std::vector<uint8_t>(bytes.begin(), bytes.end());
     }
@@ -104,11 +102,9 @@ Result<std::vector<uint8_t>> FetchSegment(kernel::Kernel& k, kernel::Proc& p,
     metrics.Inc("cache.writethrough_failed");
   } else {
     k.vfs().SetupCreateFile(local_path, bytes, 0, 0644);
-    if (sink != nullptr) {
-      const auto io = costs.DiskIo(static_cast<int64_t>(bytes.size()));
-      sink->ChargeCpu(io.cpu);
-      sink->ChargeWait(io.wait);
-    }
+    const auto io = costs.DiskIo(static_cast<int64_t>(bytes.size()));
+    k.ChargeCpu(p, io.cpu);
+    k.ChargeWait(p, io.wait);
   }
   return std::vector<uint8_t>(bytes.begin(), bytes.end());
 }
@@ -171,11 +167,7 @@ Status RestProcImpl(kernel::Kernel& k, kernel::Proc& p, const std::string& aout_
   // 7. Read in the contents of the stack and registers.
   p.vm->SetStackContents(stack.stack);
   p.vm->cpu = stack.cpu;
-  kernel::SyscallApi* sink = k.ApiFor(p.pid);
-  if (sink != nullptr) {
-    sink->ChargeCpu(static_cast<sim::Nanos>(stack.stack.size()) *
-                    k.costs().buffer_copy_per_byte);
-  }
+  k.ChargeCpu(p, static_cast<sim::Nanos>(stack.stack.size()) * k.costs().buffer_copy_per_byte);
 
   // 8. Read in the information on the disposition of signals.
   p.sig_dispositions = stack.sig_dispositions;

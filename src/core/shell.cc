@@ -180,7 +180,7 @@ void PhealthBuiltin(kernel::SyscallApi& api) {
 void ReapBackground(kernel::SyscallApi& api, std::vector<int32_t>* jobs) {
   kernel::Kernel& k = api.kernel();
   for (auto it = jobs->begin(); it != jobs->end();) {
-    kernel::Proc* p = k.FindAnyProc(*it);
+    kernel::Proc* p = k.FindProc(*it);
     const bool finished = p == nullptr || !p->Alive() || p->overlaid;
     if (finished) {
       Say(api, "[done] " + std::to_string(*it) + "\n");
@@ -219,7 +219,8 @@ int RunCommand(kernel::SyscallApi& api, const std::vector<std::string>& tokens,
   }
   if (background) {
     jobs->push_back(*pid);
-    Say(api, "[" + std::to_string(*pid) + "]\n");
+    const std::string job = std::to_string(*pid);
+    Say(api, "[" + job + "]\n");
     return 0;
   }
   // Foreground: wait for *this* child (background jobs may finish meanwhile and
@@ -233,12 +234,8 @@ int RunCommand(kernel::SyscallApi& api, const std::vector<std::string>& tokens,
       // restored program now owns this terminal. A real shell keeps waiting for
       // its foreground job, so block until the process is truly gone — otherwise
       // the shell's prompt read would steal the program's keystrokes.
-      kernel::Kernel& k = api.kernel();
-      const int32_t fg = wr->pid;
-      api.BlockUntil([&k, fg] {
-        const kernel::Proc* p = k.FindAnyProc(fg);
-        return p == nullptr || !p->Alive();
-      });
+      const kernel::Proc* fg = api.kernel().FindProc(wr->pid);
+      api.BlockUntil([fg] { return !fg->Alive(); });
       return 0;
     }
     // Some background job finished first; drop it from the table.

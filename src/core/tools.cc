@@ -620,7 +620,7 @@ int Migrate(kernel::SyscallApi& api, net::Network& net, int32_t pid, std::string
   auto source_proc_alive = [&]() -> bool {
     kernel::Kernel* src = net.FindHost(from_host);
     if (src == nullptr || src->down()) return false;
-    kernel::Proc* p = src->FindAnyProc(pid);
+    kernel::Proc* p = src->FindProc(pid);
     return p != nullptr && p->Alive();
   };
   if (opts.transactional && rc.ok() && *rc == kToolTransient && !source_proc_alive()) {

@@ -89,8 +89,8 @@ Proc& Kernel::NewProc(std::string command, ProcKind kind, const SpawnOptions& op
   p.trace_id = opts.trace_id;
   p.trace_parent_span = opts.trace_parent_span;
   InitProcCwd(p, opts.cwd);
+  p.api = std::make_unique<SyscallApi>(this, &p);
   procs_.push_back(std::move(owned));
-  apis_[p.pid] = std::make_unique<SyscallApi>(this, p.pid);
   ++stats_.procs_spawned;
   metrics_.Inc("kernel.procs_spawned");
   if (opts.tty != nullptr && opts.stdio_on_tty) {
@@ -139,11 +139,10 @@ Result<int32_t> Kernel::SpawnProgram(const std::string& program, std::vector<std
                                   opts);
   // A registered program is a real binary: it pays fork + exec + runtime startup
   // before its first instruction runs.
-  if (Proc* p = FindProc(pid); p != nullptr) {
-    ChargeCpu(*p, costs_->tool_spawn_cpu);
-    ChargeWait(*p, costs_->tool_spawn_wait);
-    SettlePendingWait(*p);
-  }
+  Proc& p = *FindProc(pid);
+  ChargeCpu(p, costs_->tool_spawn_cpu);
+  ChargeWait(p, costs_->tool_spawn_wait);
+  SettlePendingWait(p);
   return pid;
 }
 
@@ -151,7 +150,7 @@ int32_t Kernel::SpawnNative(std::string command_name, NativeTask::Entry entry,
                             const SpawnOptions& opts) {
   Proc& p = NewProc(std::move(command_name), ProcKind::kNative, opts);
   p.native = std::make_unique<NativeTask>();
-  p.native->Start(std::move(entry), apis_[p.pid].get());
+  p.native->Start(std::move(entry), p.api.get());
   return p.pid;
 }
 
@@ -169,7 +168,7 @@ Result<int32_t> Kernel::SpawnVm(const std::string& aout_path, std::vector<std::s
 
 Proc* Kernel::FindProc(int32_t pid) {
   for (auto& p : procs_) {
-    if (p->pid == pid && p->state != ProcState::kDead) return p.get();
+    if (p->pid == pid) return p.get();
   }
   return nullptr;
 }
@@ -178,24 +177,12 @@ const Proc* Kernel::FindProc(int32_t pid) const {
   return const_cast<Kernel*>(this)->FindProc(pid);
 }
 
-Proc* Kernel::FindAnyProc(int32_t pid) {
-  for (auto& p : procs_) {
-    if (p->pid == pid) return p.get();
-  }
-  return nullptr;
-}
-
 std::vector<Proc*> Kernel::ListProcs() {
   std::vector<Proc*> out;
   for (auto& p : procs_) {
     if (p->Alive()) out.push_back(p.get());
   }
   return out;
-}
-
-SyscallApi* Kernel::ApiFor(int32_t pid) {
-  auto it = apis_.find(pid);
-  return it == apis_.end() ? nullptr : it->second.get();
 }
 
 sim::Nanos Kernel::TotalCpu() const {
@@ -271,10 +258,8 @@ void Kernel::SleepProc(Proc& p, sim::Nanos duration) {
   p.pending_wait = 0;
   if (total <= 0) return;
   p.state = ProcState::kSleeping;
-  const int32_t pid = p.pid;
-  p.wake_timer = clock_->CallAfter(total, [this, pid] {
-    Proc* proc = FindProc(pid);
-    if (proc != nullptr && proc->state == ProcState::kSleeping) {
+  p.wake_timer = clock_->CallAfter(total, [proc = &p] {
+    if (proc->state == ProcState::kSleeping) {
       proc->state = ProcState::kRunnable;
       proc->wake_timer = 0;
     }

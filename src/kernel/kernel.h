@@ -235,11 +235,12 @@ class Kernel {
   Result<int32_t> SpawnVm(const std::string& aout_path, std::vector<std::string> args,
                           const SpawnOptions& opts);
 
+  // Any process this kernel ever spawned, reaped (kDead) ones included, whose
+  // ExitInfo stays readable; null for a pid it never handed out. Proc storage
+  // is never recycled, so a Proc* stays valid for the kernel's lifetime and
+  // callers check Alive() (or a live state) themselves.
   Proc* FindProc(int32_t pid);
   const Proc* FindProc(int32_t pid) const;
-  // Like FindProc but also returns reaped (kDead) processes, whose ExitInfo is
-  // still readable. Proc storage is never recycled within a simulation.
-  Proc* FindAnyProc(int32_t pid);
   // Live process listing (used by ps-like tools and the load balancer).
   std::vector<Proc*> ListProcs();
 
@@ -353,8 +354,6 @@ class Kernel {
   // Total CPU (user+system) consumed by all processes ever run on this machine.
   sim::Nanos TotalCpu() const;
 
-  SyscallApi* ApiFor(int32_t pid);
-
  private:
   friend class SyscallApi;
 
@@ -419,7 +418,6 @@ class Kernel {
 
   int32_t next_pid_ = 100;
   std::vector<std::unique_ptr<Proc>> procs_;
-  std::map<int32_t, std::unique_ptr<SyscallApi>> apis_;
   size_t rr_cursor_ = 0;
   int32_t last_run_pid_ = -1;
   sim::Nanos quantum_left_ = 0;
@@ -451,11 +449,12 @@ class TraceSpan {
   uint64_t saved_parent_ = 0;
 };
 
-// The system-call interface used by native programs. One per native process; also
-// the CostSink the kernel passes to the VFS on that process's behalf.
+// The system-call interface used by native programs. Every Proc owns one (see
+// Proc::api); it is also the CostSink the kernel passes to the VFS on that
+// process's behalf, for VM processes too.
 class SyscallApi : public vfs::CostSink {
  public:
-  SyscallApi(Kernel* kernel, int32_t pid) : kernel_(kernel), pid_(pid) {}
+  SyscallApi(Kernel* kernel, Proc* proc) : kernel_(kernel), proc_(proc) {}
   virtual ~SyscallApi() = default;
 
   // vfs::CostSink:
@@ -463,8 +462,8 @@ class SyscallApi : public vfs::CostSink {
   void ChargeWait(sim::Nanos amount) override;
 
   Kernel& kernel() { return *kernel_; }
+  // The calling process. Asserts it has not been reaped.
   Proc& proc();
-  int32_t pid() const { return pid_; }
 
   // --- System calls. Each charges syscall entry + the operation's work, and
   // converts accumulated I/O waits into virtual-time sleeps. Blocking calls yield
@@ -544,7 +543,7 @@ class SyscallApi : public vfs::CostSink {
   void YieldIfPreempted();
 
   Kernel* kernel_;
-  int32_t pid_;
+  Proc* proc_;
 };
 
 }  // namespace pmig::kernel

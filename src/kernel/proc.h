@@ -32,6 +32,7 @@
 namespace pmig::kernel {
 
 class NativeTask;
+class SyscallApi;
 
 struct Credentials {
   int32_t uid = 0;   // real uid
@@ -48,7 +49,7 @@ enum class ProcState : uint8_t {
   kSleeping,  // waiting for a timer (sleep(), disk/net completion, dump finishing)
   kBlocked,   // waiting for a condition (tty input, pipe data, child exit)
   kZombie,    // exited, wait()able
-  kDead,      // reaped; slot free
+  kDead,      // reaped; the Proc stays allocated (see Kernel::FindProc)
 };
 
 enum class ProcKind : uint8_t { kVm, kNative };
@@ -102,6 +103,11 @@ struct Proc {
 
   // kNative state.
   std::unique_ptr<NativeTask> native;
+
+  // This process's system-call interface and cost sink, made with the process
+  // and holding it back: one handle each way, so neither side searches for
+  // the other.
+  std::unique_ptr<SyscallApi> api;
 
   // Blocking: when kBlocked, the scheduler re-runs this predicate each quantum and
   // wakes the process when it yields true. Cleared on wake.

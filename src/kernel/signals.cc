@@ -175,9 +175,8 @@ void Kernel::StartMigrationDump(Proc& p) {
           : 0;
   p.wake_timer = clock_->CallAfter(
       prepared->cpu + prepared->wait,
-      [this, pid, span_id, files = std::move(prepared->files)] {
-        Proc* proc = FindProc(pid);
-        if (proc == nullptr || proc->state != ProcState::kSleeping) return;  // killed
+      [this, proc = &p, pid, span_id, files = std::move(prepared->files)] {
+        if (proc->state != ProcState::kSleeping) return;  // killed
         proc->wake_timer = 0;
         // Write the dump, subject to injected disk-full and corruption faults.
         // On any failure the partial files are removed and the process resumes
@@ -245,28 +244,33 @@ void Kernel::StartCoreDump(Proc& p, int signo) {
   ChargeCpu(p, cpu_cost);
 
   // Write "core" in the process's current directory when the I/O completes.
+  // The write is paid for up front either way; a directory on a file server
+  // that has gone down, or a write that draws an injected fault (disk full,
+  // NFS EIO), leaves no core, and the process still dies by the signal.
   vfs::InodePtr dir = p.cwd.empty() ? fs_->root() : p.cwd.dir();
   if (p.wake_timer != 0) clock_->CancelTimer(p.wake_timer);
   p.state = ProcState::kSleeping;
   p.unblock_check = nullptr;
-  const int32_t pid = p.pid;
   p.wake_timer = clock_->CallAfter(
-      cpu_cost + io.wait, [this, pid, signo, dir, bytes = std::move(bytes)] {
-        Proc* proc = FindProc(pid);
-        if (proc == nullptr || proc->state != ProcState::kSleeping) return;
+      cpu_cost + io.wait, [this, proc = &p, signo, dir, bytes = std::move(bytes)] {
+        if (proc->state != ProcState::kSleeping) return;
         proc->wake_timer = 0;
-        dir->entries.erase("core");
-        vfs::Filesystem* owner = dir->fs;
-        vfs::InodePtr file = owner->NewRegular(proc->creds.uid, 0600);
-        file->data = bytes;
-        const Status st = owner->Link(dir, "core", file);
-        (void)st;
         ExitInfo info;
         info.killed_by_signal = signo;
-        info.core_dumped = true;
+        info.core_dumped = !vfs_->FsUnreachable(dir->fs) &&
+                           vfs_->InjectedIoFault(*dir, /*write=*/true).ok();
+        if (info.core_dumped) {
+          dir->entries.erase("core");
+          vfs::Filesystem* owner = dir->fs;
+          vfs::InodePtr file = owner->NewRegular(proc->creds.uid, 0600);
+          file->data = bytes;
+          const Status st = owner->Link(dir, "core", file);
+          (void)st;
+        }
         TerminateProc(*proc, info);
       });
-  Trace(sim::TraceCategory::kSignal, pid, "dumping core (signal " + std::to_string(signo) + ")");
+  Trace(sim::TraceCategory::kSignal, p.pid,
+        "dumping core (signal " + std::to_string(signo) + ")");
 }
 
 void Kernel::VmFault(Proc& p, vm::Fault fault) {

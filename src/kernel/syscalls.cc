@@ -11,6 +11,7 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 
 #include "src/kernel/kernel.h"
 #include "src/vfs/path.h"
@@ -31,13 +32,21 @@ bool IsNullDevice(const vfs::Inode& inode) {
   return inode.IsDevice() && dynamic_cast<NullDevice*>(inode.device) != nullptr;
 }
 
+// True when `dir` is the directory `top` or lies anywhere below it.
+bool InSubtree(const vfs::Inode& top, const vfs::Inode* dir) {
+  if (&top == dir) return true;
+  for (const auto& [name, child] : top.entries) {
+    if (child->IsDir() && InSubtree(*child, dir)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 // --- Name tracking (Section 5.1) -------------------------------------------------
 
 void Kernel::TrackOpenName(Proc& p, OpenFile& file, std::string_view user_path) {
   if (!config_.track_names || file.kind != FileKind::kInode) return;
-  SyscallApi* sink = ApiFor(p.pid);
   std::string abs;
   if (vfs::IsAbsolute(user_path)) {
     abs = vfs::NormalizeAbsolute(user_path);
@@ -46,12 +55,10 @@ void Kernel::TrackOpenName(Proc& p, OpenFile& file, std::string_view user_path) 
     // name of the current working directory in the user structure."
     const std::string& cwd = p.u_cwd_path.empty() ? "/" : p.u_cwd_path;
     abs = vfs::Combine(cwd, user_path);
-    if (sink != nullptr) sink->ChargeCpu(costs_->name_combine);
+    ChargeCpu(p, costs_->name_combine);
   }
-  if (sink != nullptr) {
-    sink->ChargeCpu(costs_->kmem_alloc);
-    sink->ChargeCpu(static_cast<sim::Nanos>(abs.size() + 1) * costs_->name_copy_per_byte);
-  }
+  ChargeCpu(p, costs_->kmem_alloc);
+  ChargeCpu(p, static_cast<sim::Nanos>(abs.size() + 1) * costs_->name_copy_per_byte);
   metrics_.Inc("kernel.kmem_allocs");
   metrics_.Inc("vfs.name_bytes_copied", static_cast<int64_t>(abs.size()) + 1);
   const int64_t held = config_.name_storage == KernelConfig::NameStorage::kFixed
@@ -69,8 +76,7 @@ void Kernel::TrackOpenName(Proc& p, OpenFile& file, std::string_view user_path) 
 
 void Kernel::ReleaseOpenName(Proc& p, OpenFile& file) {
   if (!file.name.has_value()) return;
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr && config_.track_names) sink->ChargeCpu(costs_->kmem_free);
+  if (config_.track_names) ChargeCpu(p, costs_->kmem_free);
   const int64_t held = config_.name_storage == KernelConfig::NameStorage::kFixed
                            ? config_.fixed_name_bytes
                            : static_cast<int64_t>(file.name->size()) + 1;
@@ -80,33 +86,26 @@ void Kernel::ReleaseOpenName(Proc& p, OpenFile& file) {
 
 void Kernel::TrackChdirName(Proc& p, std::string_view user_path) {
   if (!config_.track_names) return;
-  SyscallApi* sink = ApiFor(p.pid);
   if (vfs::IsAbsolute(user_path)) {
     // "if the argument ... is an absolute path name, it is simply copied" (with
     // "." / ".." references resolved when path names are constructed).
     p.u_cwd_path = vfs::NormalizeAbsolute(user_path);
-    if (sink != nullptr) {
-      sink->ChargeCpu(static_cast<sim::Nanos>(user_path.size() + 1) *
-                      costs_->name_copy_per_byte);
-    }
+    ChargeCpu(p, static_cast<sim::Nanos>(user_path.size() + 1) * costs_->name_copy_per_byte);
     return;
   }
   // "the updating procedure being skipped if the field has not been yet
   // initialised" — initialisation happens via the first absolute chdir() at boot.
   if (p.u_cwd_path.empty()) return;
   p.u_cwd_path = vfs::Combine(p.u_cwd_path, user_path);
-  if (sink != nullptr) {
-    sink->ChargeCpu(costs_->name_combine);
-    sink->ChargeCpu(static_cast<sim::Nanos>(p.u_cwd_path.size() + 1) *
-                    costs_->name_copy_per_byte);
-  }
+  ChargeCpu(p, costs_->name_combine);
+  ChargeCpu(p, static_cast<sim::Nanos>(p.u_cwd_path.size() + 1) * costs_->name_copy_per_byte);
   metrics_.Inc("vfs.name_bytes_copied", static_cast<int64_t>(p.u_cwd_path.size()) + 1);
 }
 
 // --- File syscalls ----------------------------------------------------------------
 
 Result<int> Kernel::SysOpen(Proc& p, std::string_view path, int32_t flags, uint16_t mode) {
-  SyscallApi* sink = ApiFor(p.pid);
+  SyscallApi* sink = p.api.get();
   const int fd = p.FreeFdSlot();
   if (fd < 0) return Errno::kMFile;
 
@@ -117,7 +116,7 @@ Result<int> Kernel::SysOpen(Proc& p, std::string_view path, int32_t flags, uint1
     file->kind = FileKind::kInode;
     file->inode = tty_nodes_.at(p.controlling_tty);
     file->flags = flags;
-    if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+    ChargeCpu(p, costs_->file_table_slot);
     TrackOpenName(p, *file, path);
     InstallFd(p, fd, file);
     return fd;
@@ -140,7 +139,7 @@ Result<int> Kernel::SysOpen(Proc& p, std::string_view path, int32_t flags, uint1
       vfs::Filesystem* owner = rp.dir->fs;
       inode = owner->NewRegular(p.creds.euid, mode);
       PMIG_RETURN_IF_ERROR(owner->Link(rp.dir, rp.name, inode));
-      if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+      ChargeCpu(p, costs_->file_table_slot);
     }
   } else {
     PMIG_TRY(vfs::Vfs::Resolved r, vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, sink));
@@ -162,12 +161,10 @@ Result<int> Kernel::SysOpen(Proc& p, std::string_view path, int32_t flags, uint1
   if ((flags & OpenFlags::kOTrunc) != 0 && inode->IsRegular() && file->writable()) {
     PMIG_RETURN_IF_ERROR(vfs_->Truncate(*inode, 0, sink));
   }
-  if (sink != nullptr) {
-    sink->ChargeCpu(costs_->file_table_slot);
-    // Cold in-core inode fetch: a disk read locally, an NFS RPC remotely. (No
-    // inode cache is modelled; every successful open pays.)
-    sink->ChargeWait(vfs_->InodeIsRemote(*inode) ? costs_->nfs_rpc : costs_->inode_fetch);
-  }
+  ChargeCpu(p, costs_->file_table_slot);
+  // Cold in-core inode fetch: a disk read locally, an NFS RPC remotely. (No
+  // inode cache is modelled; every successful open pays.)
+  ChargeWait(p, vfs_->InodeIsRemote(*inode) ? costs_->nfs_rpc : costs_->inode_fetch);
   TrackOpenName(p, *file, path);
   InstallFd(p, fd, std::move(file));
   return fd;
@@ -198,7 +195,6 @@ Status Kernel::SysClose(Proc& p, int fd) {
 Result<std::string> Kernel::SysRead(Proc& p, int fd, int64_t max) {
   PMIG_TRY(OpenFilePtr file, FdGet(p, fd));
   if (!file->readable()) return Errno::kBadF;
-  SyscallApi* sink = ApiFor(p.pid);
 
   if (file->kind == FileKind::kPipe || file->kind == FileKind::kSocket) {
     Channel& ch = *file->channel;
@@ -209,7 +205,7 @@ Result<std::string> Kernel::SysRead(Proc& p, int fd, int64_t max) {
     const int64_t n = std::min<int64_t>(max, static_cast<int64_t>(ch.buffer.size()));
     std::string out = ch.buffer.substr(0, static_cast<size_t>(n));
     ch.buffer.erase(0, static_cast<size_t>(n));
-    if (sink != nullptr) sink->ChargeCpu(n * costs_->buffer_copy_per_byte);
+    ChargeCpu(p, n * costs_->buffer_copy_per_byte);
     return out;
   }
 
@@ -218,7 +214,7 @@ Result<std::string> Kernel::SysRead(Proc& p, int fd, int64_t max) {
   if (inode.IsRegular()) {
     PMIG_RETURN_IF_ERROR(vfs_->InjectedIoFault(inode, /*write=*/false));
     std::string out;
-    const int64_t n = vfs_->ReadAt(inode, file->offset, max, &out, sink);
+    const int64_t n = vfs_->ReadAt(inode, file->offset, max, &out, p.api.get());
     file->offset += n;
     return out;
   }
@@ -226,9 +222,7 @@ Result<std::string> Kernel::SysRead(Proc& p, int fd, int64_t max) {
   if (Tty* tty = AsTty(inode); tty != nullptr) {
     if (!tty->InputReady()) return Errno::kAgain;  // caller blocks
     std::string out = tty->ConsumeInput(max);
-    if (sink != nullptr) {
-      sink->ChargeCpu(static_cast<sim::Nanos>(out.size()) * costs_->buffer_copy_per_byte);
-    }
+    ChargeCpu(p, static_cast<sim::Nanos>(out.size()) * costs_->buffer_copy_per_byte);
     return out;
   }
   return Errno::kIo;
@@ -237,7 +231,6 @@ Result<std::string> Kernel::SysRead(Proc& p, int fd, int64_t max) {
 Result<int64_t> Kernel::SysWrite(Proc& p, int fd, std::string_view data) {
   PMIG_TRY(OpenFilePtr file, FdGet(p, fd));
   if (!file->writable()) return Errno::kBadF;
-  SyscallApi* sink = ApiFor(p.pid);
 
   if (file->kind == FileKind::kPipe || file->kind == FileKind::kSocket) {
     Channel& ch = *file->channel;
@@ -247,9 +240,7 @@ Result<int64_t> Kernel::SysWrite(Proc& p, int fd, std::string_view data) {
       return Errno::kPipe;
     }
     ch.buffer.append(data);
-    if (sink != nullptr) {
-      sink->ChargeCpu(static_cast<sim::Nanos>(data.size()) * costs_->buffer_copy_per_byte);
-    }
+    ChargeCpu(p, static_cast<sim::Nanos>(data.size()) * costs_->buffer_copy_per_byte);
     return static_cast<int64_t>(data.size());
   }
 
@@ -258,16 +249,17 @@ Result<int64_t> Kernel::SysWrite(Proc& p, int fd, std::string_view data) {
   if (inode.IsRegular()) {
     PMIG_RETURN_IF_ERROR(vfs_->InjectedIoFault(inode, /*write=*/true));
     if ((file->flags & OpenFlags::kOAppend) != 0) file->offset = inode.size();
-    const int64_t n = vfs_->WriteAt(inode, file->offset, data, sink);
+    if (file->offset > vfs::Vfs::kMaxFileBytes - static_cast<int64_t>(data.size())) {
+      return Errno::kFBig;  // refused before the file's bytes are allocated
+    }
+    const int64_t n = vfs_->WriteAt(inode, file->offset, data, p.api.get());
     file->offset += n;
     return n;
   }
   if (IsNullDevice(inode)) return static_cast<int64_t>(data.size());
   if (Tty* tty = AsTty(inode); tty != nullptr) {
     tty->AppendOutput(data);
-    if (sink != nullptr) {
-      sink->ChargeCpu(static_cast<sim::Nanos>(data.size()) * costs_->buffer_copy_per_byte);
-    }
+    ChargeCpu(p, static_cast<sim::Nanos>(data.size()) * costs_->buffer_copy_per_byte);
     return static_cast<int64_t>(data.size());
   }
   return Errno::kIo;
@@ -290,6 +282,8 @@ Result<int64_t> Kernel::SysLseek(Proc& p, int fd, int64_t offset, int whence) {
     default:
       return Errno::kInval;
   }
+  // base >= 0, so only a positive offset can overflow.
+  if (offset > std::numeric_limits<int64_t>::max() - base) return Errno::kInval;
   const int64_t pos = base + offset;
   if (pos < 0) return Errno::kInval;
   file->offset = pos;
@@ -300,8 +294,7 @@ Result<int> Kernel::SysDup(Proc& p, int fd) {
   PMIG_TRY(OpenFilePtr file, FdGet(p, fd));
   const int nfd = p.FreeFdSlot();
   if (nfd < 0) return Errno::kMFile;
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+  ChargeCpu(p, costs_->file_table_slot);
   InstallFd(p, nfd, std::move(file));
   return nfd;
 }
@@ -318,8 +311,7 @@ Result<std::pair<int, int>> Kernel::SysPipe(Proc& p) {
     return Errno::kMFile;
   }
   InstallFd(p, wfd, MakeChannelFile(channel, /*write_end=*/true, FileKind::kPipe));
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) sink->ChargeCpu(2 * costs_->file_table_slot);
+  ChargeCpu(p, 2 * costs_->file_table_slot);
   return std::make_pair(rfd, wfd);
 }
 
@@ -337,16 +329,14 @@ Result<std::pair<int, int>> Kernel::SysSocket(Proc& p) {
     return Errno::kMFile;
   }
   InstallFd(p, bfd, MakeChannelFile(channel, /*write_end=*/true, FileKind::kSocket));
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) sink->ChargeCpu(2 * costs_->file_table_slot);
+  ChargeCpu(p, 2 * costs_->file_table_slot);
   return std::make_pair(afd, bfd);
 }
 
 // --- Directory / name syscalls ---------------------------------------------------
 
 Status Kernel::SysChdir(Proc& p, std::string_view path) {
-  SyscallApi* sink = ApiFor(p.pid);
-  PMIG_TRY(vfs::Vfs::Resolved r, vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, sink));
+  PMIG_TRY(vfs::Vfs::Resolved r, vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, p.api.get()));
   if (!r.inode->IsDir()) return Errno::kNotDir;
   if (!vfs::CheckAccess(*r.inode, p.creds.euid, vfs::kWantExec)) return Errno::kAcces;
   p.cwd = r.state;
@@ -358,22 +348,18 @@ Result<std::string> Kernel::SysGetCwd(Proc& p) {
   // Only the modified kernel can answer this directly (Section 5.1); the stock
   // kernel's getwd() was a user-level library crawl we do not model.
   if (!config_.track_names) return Errno::kInval;
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) {
-    sink->ChargeCpu(static_cast<sim::Nanos>(p.u_cwd_path.size() + 1) *
-                    costs_->buffer_copy_per_byte);
-  }
+  ChargeCpu(p, static_cast<sim::Nanos>(p.u_cwd_path.size() + 1) * costs_->buffer_copy_per_byte);
   return p.u_cwd_path.empty() ? std::string("/") : p.u_cwd_path;
 }
 
 Result<std::string> Kernel::SysReadlink(Proc& p, std::string_view path) {
-  return vfs_->Readlink(p.cwd, path, ApiFor(p.pid));
+  return vfs_->Readlink(p.cwd, path, p.api.get());
 }
 
 Result<StatInfo> Kernel::SysStat(Proc& p, std::string_view path, bool follow) {
   PMIG_TRY(vfs::Vfs::Resolved r,
            vfs_->Resolve(p.cwd, path, follow ? vfs::Follow::kAll : vfs::Follow::kNotLast,
-                         ApiFor(p.pid)));
+                         p.api.get()));
   StatInfo info;
   info.type = r.inode->type;
   info.ino = r.inode->ino;
@@ -387,9 +373,8 @@ Result<StatInfo> Kernel::SysStat(Proc& p, std::string_view path, bool follow) {
 
 Result<std::vector<std::string>> Kernel::SysReadDir(Proc& p,
                                                     std::string_view path) {
-  SyscallApi* sink = ApiFor(p.pid);
   PMIG_TRY(vfs::Vfs::Resolved r,
-           vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, sink));
+           vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, p.api.get()));
   if (!r.inode->IsDir()) return Errno::kNotDir;
   if (!vfs::CheckAccess(*r.inode, p.creds.euid, vfs::kWantRead)) {
     return Errno::kAcces;
@@ -401,48 +386,43 @@ Result<std::vector<std::string>> Kernel::SysReadDir(Proc& p,
     names.push_back(name);
     bytes += name.size() + 1;
   }
-  if (sink != nullptr) {
-    sink->ChargeCpu(static_cast<sim::Nanos>(bytes) * costs_->buffer_copy_per_byte);
-  }
+  ChargeCpu(p, static_cast<sim::Nanos>(bytes) * costs_->buffer_copy_per_byte);
   return names;
 }
 
 Status Kernel::SysUnlink(Proc& p, std::string_view path) {
-  SyscallApi* sink = ApiFor(p.pid);
-  PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, path, sink));
+  PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, path, p.api.get()));
   if (rp.existing == nullptr) return Errno::kNoEnt;
   if (rp.existing->IsDir()) return Errno::kIsDir;  // directories go through rmdir()
   if (!vfs::CheckAccess(*rp.dir, p.creds.euid, vfs::kWantWrite)) return Errno::kAcces;
-  if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+  ChargeCpu(p, costs_->file_table_slot);
   return rp.dir->fs->Unlink(rp.dir, rp.name);
 }
 
 Status Kernel::SysLink(Proc& p, std::string_view oldpath, std::string_view newpath) {
-  SyscallApi* sink = ApiFor(p.pid);
+  SyscallApi* sink = p.api.get();
   PMIG_TRY(vfs::Vfs::Resolved old, vfs_->Resolve(p.cwd, oldpath, vfs::Follow::kAll, sink));
   if (old.inode->IsDir()) return Errno::kIsDir;
   PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, newpath, sink));
   if (rp.existing != nullptr) return Errno::kExist;
   if (!vfs::CheckAccess(*rp.dir, p.creds.euid, vfs::kWantWrite)) return Errno::kAcces;
   if (old.inode->fs != rp.dir->fs) return Errno::kXDev;  // NFS: no cross-machine links
-  if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+  ChargeCpu(p, costs_->file_table_slot);
   return rp.dir->fs->Link(rp.dir, rp.name, old.inode);
 }
 
 Status Kernel::SysMkdir(Proc& p, std::string_view path, uint16_t mode) {
-  SyscallApi* sink = ApiFor(p.pid);
-  PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, path, sink));
+  PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, path, p.api.get()));
   if (rp.existing != nullptr) return Errno::kExist;
   if (!vfs::CheckAccess(*rp.dir, p.creds.euid, vfs::kWantWrite)) return Errno::kAcces;
   vfs::Filesystem* owner = rp.dir->fs;
   vfs::InodePtr dir = owner->NewDirectory(p.creds.euid, mode);
-  if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+  ChargeCpu(p, costs_->file_table_slot);
   return owner->Link(rp.dir, rp.name, dir);
 }
 
 Status Kernel::SysRmdir(Proc& p, std::string_view path) {
-  SyscallApi* sink = ApiFor(p.pid);
-  PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, path, sink));
+  PMIG_TRY(vfs::Vfs::ResolvedParent rp, vfs_->ResolveParent(p.cwd, path, p.api.get()));
   if (rp.existing == nullptr) return Errno::kNoEnt;
   // Mount points must be tested on the covering (local) inode — `existing` has
   // already been substituted with the mounted-on root.
@@ -453,12 +433,12 @@ Status Kernel::SysRmdir(Proc& p, std::string_view path) {
   if (!rp.existing->IsDir()) return Errno::kNotDir;
   if (!rp.existing->entries.empty()) return Errno::kExist;  // 4.3BSD: ENOTEMPTY≈EEXIST
   if (!vfs::CheckAccess(*rp.dir, p.creds.euid, vfs::kWantWrite)) return Errno::kAcces;
-  if (sink != nullptr) sink->ChargeCpu(costs_->file_table_slot);
+  ChargeCpu(p, costs_->file_table_slot);
   return rp.dir->fs->Unlink(rp.dir, rp.name);
 }
 
 Status Kernel::SysRename(Proc& p, std::string_view oldpath, std::string_view newpath) {
-  SyscallApi* sink = ApiFor(p.pid);
+  SyscallApi* sink = p.api.get();
   PMIG_TRY(vfs::Vfs::ResolvedParent from, vfs_->ResolveParent(p.cwd, oldpath, sink));
   if (from.existing == nullptr) return Errno::kNoEnt;
   PMIG_TRY(vfs::Vfs::ResolvedParent to, vfs_->ResolveParent(p.cwd, newpath, sink));
@@ -466,16 +446,18 @@ Status Kernel::SysRename(Proc& p, std::string_view oldpath, std::string_view new
   if (!vfs::CheckAccess(*to.dir, p.creds.euid, vfs::kWantWrite)) return Errno::kAcces;
   if (from.dir->fs != to.dir->fs) return Errno::kXDev;
   if (to.existing == from.existing) return Status::Ok();
+  // 4.3BSD: a directory cannot move into itself or below itself.
+  if (from.existing->IsDir() && InSubtree(*from.existing, to.dir.get())) return Errno::kInval;
   if (to.existing != nullptr) {
     // Replace: the target must be removable (directories only over empty dirs).
     if (to.existing->IsDir() && !from.existing->IsDir()) return Errno::kIsDir;
     if (!to.existing->IsDir() && from.existing->IsDir()) return Errno::kNotDir;
     if (to.existing->IsDir() && !to.existing->entries.empty()) return Errno::kExist;
-    PMIG_RETURN_IF_ERROR(to.dir->fs->Unlink(to.dir, to.name));
   }
-  PMIG_RETURN_IF_ERROR(to.dir->fs->Link(to.dir, to.name, from.existing));
-  if (sink != nullptr) sink->ChargeCpu(2 * costs_->file_table_slot);
-  return from.dir->fs->Unlink(from.dir, from.name);
+  // Every check is done: the move itself cannot fail half way.
+  ChargeCpu(p, 2 * costs_->file_table_slot);
+  to.dir->fs->Move(from.dir, from.name, to.dir, to.name);
+  return Status::Ok();
 }
 
 // --- Process syscalls ------------------------------------------------------------
@@ -488,8 +470,7 @@ Status Kernel::SysKill(Proc& p, int32_t pid, int signo) {
       p.creds.euid != target->creds.uid) {
     return Errno::kPerm;
   }
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) sink->ChargeCpu(costs_->signal_post);
+  ChargeCpu(p, costs_->signal_post);
   return PostSignal(pid, signo, &p);
 }
 
@@ -546,8 +527,7 @@ Result<uint16_t> Kernel::SysTtyGet(Proc& p, int fd) {
   if (file->kind != FileKind::kInode) return Errno::kNoTty;
   Tty* tty = AsTty(*file->inode);
   if (tty == nullptr) return Errno::kNoTty;
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) sink->ChargeCpu(costs_->tty_ioctl);
+  ChargeCpu(p, costs_->tty_ioctl);
   return tty->flags();
 }
 
@@ -556,8 +536,7 @@ Status Kernel::SysTtySet(Proc& p, int fd, uint16_t flags) {
   if (file->kind != FileKind::kInode) return Errno::kNoTty;
   Tty* tty = AsTty(*file->inode);
   if (tty == nullptr) return Errno::kNoTty;
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) sink->ChargeCpu(costs_->tty_ioctl);
+  ChargeCpu(p, costs_->tty_ioctl);
   tty->set_flags(flags);
   return Status::Ok();
 }
@@ -580,36 +559,30 @@ Result<int32_t> Kernel::SysFork(Proc& p) {
   child.vm = std::make_unique<vm::VmContext>(*p.vm);
   child.vm->cpu.regs[0] = 0;  // fork() returns 0 in the child
 
-  SyscallApi* sink = ApiFor(p.pid);
-  if (sink != nullptr) {
-    sink->ChargeCpu(costs_->fork_overhead);
-    sink->ChargeCpu(static_cast<sim::Nanos>(p.vm->data.size() + p.vm->StackSize()) *
-                    costs_->buffer_copy_per_byte);
-  }
+  ChargeCpu(p, costs_->fork_overhead);
+  ChargeCpu(p, static_cast<sim::Nanos>(p.vm->data.size() + p.vm->StackSize()) *
+            costs_->buffer_copy_per_byte);
   return child.pid;
 }
 
 Status Kernel::SysExecve(Proc& p, std::string_view path, const std::vector<std::string>& args) {
   if (p.kind != ProcKind::kVm) return Errno::kInval;
-  SyscallApi* sink = ApiFor(p.pid);
   const sim::Nanos cpu0 = p.stime + p.utime;
   const sim::Nanos wait0 = p.pending_wait;
 
-  PMIG_TRY(vfs::Vfs::Resolved r, vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, sink));
+  PMIG_TRY(vfs::Vfs::Resolved r, vfs_->Resolve(p.cwd, path, vfs::Follow::kAll, p.api.get()));
   if (!r.inode->IsRegular()) return Errno::kAcces;
   if (!vfs::CheckAccess(*r.inode, p.creds.euid, vfs::kWantRead)) return Errno::kAcces;
   // exec() demand-pages the image: only the header + first pages are read
   // synchronously; the rest faults in as the program runs (not modelled as cost).
   std::string bytes;
   vfs_->ReadAt(*r.inode, 0, r.inode->size(), &bytes, nullptr);
-  if (sink != nullptr) {
-    const int64_t prefetch = std::min<int64_t>(r.inode->size(), costs_->exec_prefetch_bytes);
-    const auto io = vfs_->InodeIsRemote(*r.inode) ? costs_->NetIo(prefetch)
-                                                  : costs_->DiskIo(prefetch);
-    sink->ChargeCpu(io.cpu);
-    sink->ChargeWait(io.wait + (vfs_->InodeIsRemote(*r.inode) ? costs_->nfs_rpc
-                                                              : costs_->inode_fetch));
-  }
+  const int64_t prefetch = std::min<int64_t>(r.inode->size(), costs_->exec_prefetch_bytes);
+  const auto io = vfs_->InodeIsRemote(*r.inode) ? costs_->NetIo(prefetch)
+                                                : costs_->DiskIo(prefetch);
+  ChargeCpu(p, io.cpu);
+  ChargeWait(p, io.wait + (vfs_->InodeIsRemote(*r.inode) ? costs_->nfs_rpc
+                                                            : costs_->inode_fetch));
   PMIG_TRY(vm::AoutImage image,
            vm::AoutImage::Parse(std::vector<uint8_t>(bytes.begin(), bytes.end())));
   PMIG_RETURN_IF_ERROR(OverlayVmImage(p, image, args));
@@ -1070,9 +1043,8 @@ bool Kernel::DispatchVmSyscall(Proc& p, int32_t number) {
 // --- SyscallApi (native processes) -------------------------------------------------
 
 Proc& SyscallApi::proc() {
-  Proc* p = kernel_->FindProc(pid_);
-  assert(p != nullptr && "syscall from a dead process");
-  return *p;
+  assert(proc_->state != ProcState::kDead && "syscall from a reaped process");
+  return *proc_;
 }
 
 void SyscallApi::ChargeCpu(sim::Nanos amount) { kernel_->ChargeCpu(proc(), amount); }
@@ -1125,14 +1097,11 @@ bool SyscallApi::BlockUntilFor(std::function<bool()> check, sim::Nanos timeout) 
     // even if nothing else is happening. CancelTimer must not run after the
     // timer fired (it would corrupt the clock's live-timer count), hence the
     // shared flag; a timer left live after the proc dies degenerates to a
-    // no-op when it finds no blocked proc.
+    // no-op, as a dead proc is not blocked.
     auto fired = std::make_shared<bool>(false);
-    Kernel* k = kernel_;
-    const int32_t pid = pid_;
-    const uint64_t timer = clock.CallAt(deadline, [k, pid, fired] {
+    const uint64_t timer = clock.CallAt(deadline, [bp = &p, fired] {
       *fired = true;
-      Proc* bp = k->FindProc(pid);
-      if (bp != nullptr && bp->state == ProcState::kBlocked) {
+      if (bp->state == ProcState::kBlocked) {
         bp->state = ProcState::kRunnable;
         bp->unblock_check = nullptr;
       }
@@ -1327,9 +1296,7 @@ Result<WaitResult> SyscallApi::Wait() {
       FinishSyscall();
       return wr;
     }
-    Kernel* k = kernel_;
-    const int32_t pid = pid_;
-    kernel_->BlockProc(p, [k, pid] { return k->WaitReady(pid); });
+    kernel_->BlockProc(p, [k = kernel_, pid = p.pid] { return k->WaitReady(pid); });
     p.native->Yield();
   }
 }

@@ -35,18 +35,15 @@ Result<int> Rsh(kernel::SyscallApi& api, Network& net, std::string_view host,
   spawn_opts.trace_parent_span = api.proc().trace_parent_span;
   const Result<int32_t> pid_or = remote->SpawnProgram(program, std::move(args), spawn_opts);
   if (!pid_or.ok()) return pid_or.error();
-  const int32_t rpid = *pid_or;
 
-  kernel::Proc* rproc = remote->FindProc(rpid);
-  if (rproc != nullptr) {
-    remote->InstallFd(*rproc, 0,
-                      kernel::Kernel::MakeChannelFile(stdin_ch, /*write_end=*/false,
-                                                      kernel::FileKind::kSocket));
-    kernel::OpenFilePtr out = kernel::Kernel::MakeChannelFile(
-        stdout_ch, /*write_end=*/true, kernel::FileKind::kSocket);
-    remote->InstallFd(*rproc, 1, out);
-    remote->InstallFd(*rproc, 2, out);
-  }
+  kernel::Proc& rproc = *remote->FindProc(*pid_or);
+  remote->InstallFd(rproc, 0,
+                    kernel::Kernel::MakeChannelFile(stdin_ch, /*write_end=*/false,
+                                                    kernel::FileKind::kSocket));
+  kernel::OpenFilePtr out = kernel::Kernel::MakeChannelFile(
+      stdout_ch, /*write_end=*/true, kernel::FileKind::kSocket);
+  remote->InstallFd(rproc, 1, out);
+  remote->InstallFd(rproc, 2, out);
 
   // Wait for remote completion (exit, or overlay by rest_proc()). The host
   // dying mid-command also ends the wait; so does the timeout — a remote
@@ -57,10 +54,9 @@ Result<int> Rsh(kernel::SyscallApi& api, Network& net, std::string_view host,
   const std::string lhost = local.hostname();
   const std::string rhost = remote->hostname();
   const bool completed = api.BlockUntilFor(
-      [remote, rpid, &net, lhost, rhost] {
+      [remote, rp = &rproc, &net, lhost, rhost] {
         if (remote->down()) return true;
-        kernel::Proc* p = remote->FindAnyProc(rpid);
-        const bool finished = p == nullptr || !p->Alive() || p->overlaid;
+        const bool finished = !rp->Alive() || rp->overlaid;
         return finished && net.Reachable(rhost, lhost);
       },
       opts.timeout);
@@ -68,16 +64,11 @@ Result<int> Rsh(kernel::SyscallApi& api, Network& net, std::string_view host,
   if (!completed) return Errno::kTimedOut;
 
   int exit_code = 0;
-  bool overlaid = false;
-  if (kernel::Proc* p = remote->FindAnyProc(rpid); p != nullptr) {
-    overlaid = p->overlaid || (p->Alive() && p->kind == kernel::ProcKind::kVm);
-    if (!p->Alive()) exit_code = p->exit_info.exit_code;
-    if (p->overlaid) {
-      p->overlaid = false;
-      p->ppid = 0;  // detaches from the rsh session; keeps running remotely
-    }
+  if (!rproc.Alive()) exit_code = rproc.exit_info.exit_code;
+  if (rproc.overlaid) {
+    rproc.overlaid = false;
+    rproc.ppid = 0;  // detaches from the rsh session; keeps running remotely
   }
-  (void)overlaid;
 
   // Carry the remote output home and deliver it to the caller's stdout.
   const std::string output = std::move(stdout_ch->buffer);

@@ -1,5 +1,6 @@
 #include "src/vfs/filesystem.h"
 
+#include <cassert>
 #include <utility>
 
 namespace pmig::vfs {
@@ -57,6 +58,17 @@ Status Filesystem::Unlink(const InodePtr& dir, const std::string& name) {
   --it->second->nlink;
   dir->entries.erase(it);
   return Status::Ok();
+}
+
+void Filesystem::Move(const InodePtr& from_dir, const std::string& from_name,
+                      const InodePtr& to_dir, const std::string& to_name) {
+  auto from = from_dir->entries.find(from_name);
+  assert(from != from_dir->entries.end());
+  InodePtr moved = std::move(from->second);
+  from_dir->entries.erase(from);
+  InodePtr& slot = to_dir->entries[to_name];
+  if (slot != nullptr) --slot->nlink;
+  slot = std::move(moved);
 }
 
 }  // namespace pmig::vfs

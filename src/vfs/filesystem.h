@@ -39,6 +39,11 @@ class Filesystem {
   // Removes a directory entry; directories must be empty (kNotDir semantics follow
   // 4.2BSD: unlink on a directory is refused with kIsDir).
   Status Unlink(const InodePtr& dir, const std::string& name);
+  // Moves the entry `from_name` of `from_dir` to `to_name` in `to_dir`, dropping
+  // whatever `to_name` named. A directory moves with its contents. The caller
+  // has checked that both entries may go (rename()'s rules).
+  void Move(const InodePtr& from_dir, const std::string& from_name, const InodePtr& to_dir,
+            const std::string& to_name);
 
  private:
   InodePtr NewInode(InodeType type, int32_t uid, uint16_t mode);

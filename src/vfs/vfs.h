@@ -141,6 +141,10 @@ class Vfs {
                                CostSink* sink) const;
 
   // --- Regular-file I/O with disk/NFS cost accounting ---
+  // The largest a regular file may grow through write(): far above any file the
+  // simulation writes, and small enough that one write cannot make the host
+  // allocate gigabytes. A write past it fails with EFBIG (see DESIGN.md).
+  static constexpr int64_t kMaxFileBytes = int64_t{16} << 20;
   // Reads up to `len` bytes at `offset`; returns bytes read (0 at EOF).
   int64_t ReadAt(const Inode& inode, int64_t offset, int64_t len, std::string* out,
                  CostSink* sink) const;

@@ -76,7 +76,7 @@ TEST(Cluster, RunUntilIdleWaitsForSleepers) {
       },
       opts);
   EXPECT_TRUE(world.cluster().RunUntilIdle(sim::Seconds(120)));
-  kernel::Proc* sl = world.host("brick").FindAnyProc(pid);
+  kernel::Proc* sl = world.host("brick").FindProc(pid);
   ASSERT_NE(sl, nullptr);
   EXPECT_FALSE(sl->Alive());
   // The idle skip must not have run the clock to the limit.

@@ -125,6 +125,37 @@ TEST(FsSyscalls, RenameDirectoryRules) {
   EXPECT_EQ(code, 0);
 }
 
+// A non-empty directory moves with its contents; only the new name reaches it.
+TEST(FsSyscalls, RenameMovesANonEmptyDirectory) {
+  World world;
+  const int code = RunUser(world, [](SyscallApi& api) {
+    if (!api.Mkdir("/tmp/a").ok()) return 1;
+    if (!api.Mkdir("/tmp/a/b").ok()) return 2;
+    if (!api.Rename("/tmp/a", "/tmp/z").ok()) return 3;
+    if (api.Stat("/tmp/a").error() != Errno::kNoEnt) return 4;
+    if (!api.Stat("/tmp/z/b").ok()) return 5;
+    return 0;
+  });
+  EXPECT_EQ(code, 0);
+}
+
+// A directory cannot move into itself or below itself (4.3BSD's EINVAL), and
+// the refused rename leaves the namespace as it was: no cycle.
+TEST(FsSyscalls, RenameDirectoryBelowItselfIsEinval) {
+  World world;
+  const int code = RunUser(world, [](SyscallApi& api) {
+    if (!api.Mkdir("/tmp/a").ok()) return 1;
+    if (!api.Mkdir("/tmp/a/b").ok()) return 2;
+    if (api.Rename("/tmp/a", "/tmp/a/b/c").error() != Errno::kInval) return 3;
+    if (api.Rename("/tmp/a", "/tmp/a/c").error() != Errno::kInval) return 4;
+    if (api.Stat("/tmp/a/b/c").error() != Errno::kNoEnt) return 5;
+    if (api.Stat("/tmp/a/c").error() != Errno::kNoEnt) return 6;
+    if (!api.Stat("/tmp/a/b").ok()) return 7;
+    return 0;
+  });
+  EXPECT_EQ(code, 0);
+}
+
 TEST(FsSyscalls, RenameAcrossMachinesIsExdev) {
   World world;
   const int code = RunUser(world, [](SyscallApi& api) {

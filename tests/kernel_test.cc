@@ -101,7 +101,7 @@ TEST(KernelProc, TimesAccumulate) {
                                     },
                                     UserOpts(world));
   world.RunUntilExited("brick", pid);
-  const Proc* p = k.FindAnyProc(pid);
+  const Proc* p = k.FindProc(pid);
   ASSERT_NE(p, nullptr);
   EXPECT_GT(p->stime, 0);
   EXPECT_GT(p->utime, 0);
@@ -207,7 +207,8 @@ TEST(KernelFiles, FdTableIsFixedSize) {
   World world;
   const int code = RunNative(world, [](SyscallApi& api) {
     for (int i = 3; i < kNoFile; ++i) {
-      const Result<int> fd = api.Creat("f" + std::to_string(i), 0644);
+      const std::string name = std::string("f").append(std::to_string(i));
+      const Result<int> fd = api.Creat(name, 0644);
       if (!fd.ok()) return 1;
     }
     const Result<int> overflow = api.Creat("one-too-many", 0644);
@@ -691,6 +692,41 @@ TEST(KernelSignals, SigQuitDumpsCoreForVmProc) {
   EXPECT_TRUE(world.FileExists("brick", "/u/user/core"));
 }
 
+// The core is written where the cwd lives. A cwd on a file server that has
+// crashed gets no core: the process still dies by the signal, core_dumped stays
+// false, and nothing lands on the server's disk once it is back.
+TEST(KernelSignals, NoCoreOnACrashedFileServer) {
+  WorldOptions options;
+  options.file_server_home = true;  // /u/user -> /n/schooner/u2/user
+  World world(options);
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
+  world.cluster().SetHostDown("schooner", true);
+  ASSERT_TRUE(world.host("brick").PostSignal(pid, vm::abi::kSigQuit, nullptr).ok());
+  ASSERT_TRUE(world.RunUntilExited("brick", pid));
+  const ExitInfo info = world.ExitInfoOf("brick", pid);
+  EXPECT_EQ(info.killed_by_signal, vm::abi::kSigQuit);
+  EXPECT_FALSE(info.core_dumped);
+  world.cluster().SetHostDown("schooner", false);
+  EXPECT_FALSE(world.FileExists("schooner", "/u2/user/core"));
+}
+
+// Inside a disk-full window the core write fails like any other write.
+TEST(KernelSignals, NoCoreOnAFullDisk) {
+  WorldOptions options;
+  options.faults.enabled = true;
+  options.faults.disk_full.push_back({"brick", 0, sim::Seconds(600)});
+  World world(options);
+  const int32_t pid = world.StartVm("brick", "/bin/counter");
+  ASSERT_TRUE(world.RunUntilBlocked("brick", pid));
+  ASSERT_TRUE(world.host("brick").PostSignal(pid, vm::abi::kSigQuit, nullptr).ok());
+  ASSERT_TRUE(world.RunUntilExited("brick", pid));
+  const ExitInfo info = world.ExitInfoOf("brick", pid);
+  EXPECT_EQ(info.killed_by_signal, vm::abi::kSigQuit);
+  EXPECT_FALSE(info.core_dumped);
+  EXPECT_FALSE(world.FileExists("brick", "/u/user/core"));
+}
+
 TEST(KernelSignals, IgnoredSignalDoesNothing) {
   World world;
   const int32_t pid = world.StartVm("brick", "/bin/handler");  // ignores SIGINT
@@ -770,7 +806,7 @@ TEST(KernelWait, OrphansAreAutoReaped) {
   world.RunUntilExited("brick", parent);
   ASSERT_GT(*child_pid, 0);
   ASSERT_TRUE(world.RunUntilExited("brick", *child_pid));
-  kernel::Proc* c = k.FindAnyProc(*child_pid);
+  kernel::Proc* c = k.FindProc(*child_pid);
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->state, ProcState::kDead);  // reaped by the kernel, not a lingering zombie
 }

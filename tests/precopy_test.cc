@@ -50,7 +50,7 @@ TEST(Precopy, CounterSurvivesPrecopyMigration) {
   EXPECT_LT(stats->freeze_time, stats->total_time);
 
   // The source process is gone; the continuation runs on schooner.
-  kernel::Proc* old_proc = world.host("brick").FindAnyProc(pid);
+  kernel::Proc* old_proc = world.host("brick").FindProc(pid);
   ASSERT_NE(old_proc, nullptr);
   EXPECT_FALSE(old_proc->Alive());
   EXPECT_TRUE(old_proc->exit_info.migration_dumped);

@@ -250,7 +250,8 @@ TEST(FdProperty, LowestFreeAllocationUnderRandomOpenCloseDup) {
           const double dice = rng.Double();
           if (dice < 0.5) {
             const Result<int> fd =
-                api.Creat("f" + std::to_string(rng.Below(10)), 0644);
+                api.Creat(std::string("f").append(std::to_string(rng.Below(10))),
+                          0644);
             if (static_cast<int>(open_fds.size()) >= kernel::kNoFile) {
               if (fd.error() != Errno::kMFile) ++*failures;
               continue;

@@ -208,10 +208,10 @@ TEST(Sigdump, StockKernelTreatsSigdumpAsPlainKill) {
   });
   ASSERT_TRUE(k.PostSignal(*pid, vm::abi::kSigDump, nullptr).ok());
   plain.RunUntil([&] {
-    const kernel::Proc* p = k.FindAnyProc(*pid);
+    const kernel::Proc* p = k.FindProc(*pid);
     return p == nullptr || !p->Alive();
   });
-  kernel::Proc* p = k.FindAnyProc(*pid);
+  kernel::Proc* p = k.FindProc(*pid);
   ASSERT_NE(p, nullptr);
   EXPECT_FALSE(p->exit_info.migration_dumped);
   EXPECT_EQ(p->exit_info.killed_by_signal, vm::abi::kSigDump);

@@ -154,7 +154,8 @@ TEST(TraceLog, BoundedCapacity) {
   TraceLog log(4);
   log.set_enabled(true);
   for (int i = 0; i < 10; ++i) {
-    log.Add(TraceEvent{0, TraceCategory::kApp, "h", i, "e" + std::to_string(i)});
+    const std::string text = std::string("e").append(std::to_string(i));
+    log.Add(TraceEvent{0, TraceCategory::kApp, "h", i, text});
   }
   EXPECT_EQ(log.events().size(), 4u);
   EXPECT_EQ(log.events().front().pid, 6);
@@ -164,7 +165,8 @@ TEST(TraceLog, EvictionDropsOldestAcrossRefills) {
   TraceLog log(3);
   log.set_enabled(true);
   for (int i = 0; i < 100; ++i) {
-    log.Add(TraceEvent{Millis(i), TraceCategory::kApp, "h", i, "e" + std::to_string(i)});
+    const std::string text = std::string("e").append(std::to_string(i));
+    log.Add(TraceEvent{Millis(i), TraceCategory::kApp, "h", i, text});
     EXPECT_LE(log.events().size(), 3u);
   }
   ASSERT_EQ(log.events().size(), 3u);

@@ -524,6 +524,79 @@ buf:    .space 8
   EXPECT_EQ(code, 0);
 }
 
+// A write whose end would pass the maximum file size is EFBIG, refused before
+// the file grows: seeking far past the end and writing one byte must not make
+// the host allocate the gap.
+TEST(VmSyscall, WriteFarPastEndOfFileIsEfbig) {
+  World world;
+  const int code = RunAsm(world, R"(
+start:  movi r0, fname
+        movi r1, 420
+        sys  SYS_creat
+        mov  r6, r0
+        movi r1, 1
+        movi r3, 62
+        shl  r1, r1, r3         ; offset 2^62
+        mov  r0, r6
+        movi r2, SEEK_SET
+        sys  SYS_lseek
+        mov  r0, r6
+        movi r1, buf
+        movi r2, 1
+        sys  SYS_write
+        movi r1, -27            ; -EFBIG
+        bne  r0, r1, bad
+        movi r0, 0
+        sys  SYS_exit
+bad:    movi r0, 1
+        sys  SYS_exit
+        .data
+fname:  .asciiz "far.dat"
+buf:    .space 8
+)");
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(world.FileContents("brick", "/u/user/far.dat"), "");
+}
+
+// lseek() to a position past INT64_MAX is EINVAL, not a wrapped offset.
+TEST(VmSyscall, LseekOverflowIsEinval) {
+  World world;
+  const int code = RunAsm(world, R"(
+start:  movi r0, fname
+        movi r1, 420
+        sys  SYS_creat
+        mov  r6, r0
+        mov  r0, r6
+        movi r1, buf
+        movi r2, 8
+        sys  SYS_write          ; the file is 8 bytes long
+        movi r1, -1
+        movi r3, 1
+        shr  r1, r1, r3         ; offset INT64_MAX
+        mov  r0, r6
+        movi r2, SEEK_END
+        sys  SYS_lseek
+        movi r1, -22            ; -EINVAL
+        bne  r0, r1, bad1
+        mov  r0, r6
+        movi r1, 0
+        movi r2, SEEK_CUR
+        sys  SYS_lseek          ; the offset did not move
+        movi r1, 8
+        bne  r0, r1, bad2
+        movi r0, 0
+        sys  SYS_exit
+bad1:   movi r0, 1
+        sys  SYS_exit
+bad2:   movi r0, 2
+        sys  SYS_exit
+        .data
+fname:  .asciiz "end.dat"
+buf:    .space 8
+)");
+  EXPECT_EQ(code, 0);
+}
+
 TEST(VmSyscall, KillSelfWithSigTerm) {
   World world;
   core::InstallProgram(world.host("brick"), "/bin/t", R"(
@@ -764,7 +837,7 @@ std::string RunTrapCase(const TrapCase& c) {
   const int32_t pid = world.StartVm("brick", "/bin/t");
   world.cluster().RunFor(sim::Seconds(2));
 
-  const kernel::Proc* p = k.FindAnyProc(pid);
+  const kernel::Proc* p = k.FindProc(pid);
   char line[256];
   if (p == nullptr) {
     std::snprintf(line, sizeof line, "sys %d %s,%s,%s: no proc", c.number, c.args[0], c.args[1],
