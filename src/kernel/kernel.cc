@@ -91,6 +91,7 @@ Proc& Kernel::NewProc(std::string command, ProcKind kind, const SpawnOptions& op
   InitProcCwd(p, opts.cwd);
   p.api = std::make_unique<SyscallApi>(this, &p);
   procs_.push_back(std::move(owned));
+  live_.push_back(&p);
   ++stats_.procs_spawned;
   metrics_.Inc("kernel.procs_spawned");
   if (opts.tty != nullptr && opts.stdio_on_tty) {
@@ -103,7 +104,7 @@ Proc& Kernel::NewProc(std::string command, ProcKind kind, const SpawnOptions& op
 
 bool Kernel::WaitReady(int32_t parent_pid) const {
   bool any = false;
-  for (const auto& q : procs_) {
+  for (const Proc* q : live_) {
     if (q->ppid != parent_pid || q->state == ProcState::kDead) continue;
     if (q->state == ProcState::kZombie) return true;
     if (q->overlaid) return true;
@@ -167,10 +168,10 @@ Result<int32_t> Kernel::SpawnVm(const std::string& aout_path, std::vector<std::s
 }
 
 Proc* Kernel::FindProc(int32_t pid) {
-  for (auto& p : procs_) {
-    if (p->pid == pid) return p.get();
-  }
-  return nullptr;
+  if (procs_.empty()) return nullptr;
+  const int64_t index = int64_t{pid} - procs_.front()->pid;
+  if (index < 0 || index >= static_cast<int64_t>(procs_.size())) return nullptr;
+  return procs_[static_cast<size_t>(index)].get();
 }
 
 const Proc* Kernel::FindProc(int32_t pid) const {
@@ -179,8 +180,8 @@ const Proc* Kernel::FindProc(int32_t pid) const {
 
 std::vector<Proc*> Kernel::ListProcs() {
   std::vector<Proc*> out;
-  for (auto& p : procs_) {
-    if (p->Alive()) out.push_back(p.get());
+  for (Proc* p : live_) {
+    if (p->Alive()) out.push_back(p);
   }
   return out;
 }
@@ -275,7 +276,7 @@ void Kernel::BlockProc(Proc& p, std::function<bool()> check) {
 
 bool Kernel::HasTimedWork() const {
   if (down_) return false;
-  for (const auto& p : procs_) {
+  for (const Proc* p : live_) {
     if (p->state == ProcState::kRunnable || p->state == ProcState::kSleeping) return true;
   }
   return false;
@@ -283,14 +284,15 @@ bool Kernel::HasTimedWork() const {
 
 bool Kernel::HasRunnableProc() const {
   if (down_) return false;
-  for (const auto& p : procs_) {
+  for (const Proc* p : live_) {
     if (p->state == ProcState::kRunnable) return true;
   }
   return false;
 }
 
 void Kernel::WakeBlockedProcs() {
-  for (auto& p : procs_) {
+  for (size_t i = 0; i < live_.size(); ++i) {
+    Proc* p = live_[i];
     if (p->state == ProcState::kBlocked && p->unblock_check && p->unblock_check()) {
       p->state = ProcState::kRunnable;
       p->unblock_check = nullptr;
@@ -299,25 +301,33 @@ void Kernel::WakeBlockedProcs() {
 }
 
 Proc* Kernel::PickNext() {
-  if (procs_.empty()) return nullptr;
-  const size_t n = procs_.size();
-  for (size_t i = 0; i < n; ++i) {
-    Proc* p = procs_[(rr_cursor_ + i) % n].get();
-    if (p->state == ProcState::kRunnable) {
-      rr_cursor_ = (rr_cursor_ + i + 1) % n;
-      return p;
+  Proc* pick = nullptr;
+  Proc* first = nullptr;
+  for (Proc* p : live_) {
+    if (p->state != ProcState::kRunnable) continue;
+    if (p->pid >= rr_next_pid_) {
+      pick = p;
+      break;
     }
+    if (first == nullptr) first = p;
   }
-  return nullptr;
+  if (pick == nullptr) pick = first;
+  if (pick == nullptr) return nullptr;
+  // Past the most recently spawned process the cursor wraps to the start, so a
+  // process spawned later waits for its turn in spawn order.
+  rr_next_pid_ = pick->pid + 1 == next_pid_ ? 0 : pick->pid + 1;
+  return pick;
 }
 
 bool Kernel::RunQuantum() {
   if (down_) return false;  // the machine is powered off / crashed
+  // The one place reaped processes leave live_: no walk is in progress here.
+  std::erase_if(live_, [](const Proc* q) { return q->state == ProcState::kDead; });
   DeliverPendingSignals();
   WakeBlockedProcs();
   if (metrics_.enabled()) {
     int64_t runnable_vm = 0;
-    for (const auto& q : procs_) {
+    for (const Proc* q : live_) {
       if (q->kind == ProcKind::kVm && q->state == ProcState::kRunnable) ++runnable_vm;
     }
     runnable_vm_metric_.Set(runnable_vm);
@@ -387,7 +397,7 @@ void Kernel::TerminateProc(Proc& p, ExitInfo info) {
   p.sig_pending = 0;
 
   // Children are reparented to the kernel ("init"); their exit will be autoreaped.
-  for (auto& q : procs_) {
+  for (Proc* q : live_) {
     if (q->Alive() && q->ppid == p.pid) q->ppid = 0;
   }
 

@@ -18,6 +18,7 @@
 #ifndef PMIG_SRC_KERNEL_KERNEL_H_
 #define PMIG_SRC_KERNEL_KERNEL_H_
 
+#include <cassert>
 #include <functional>
 #include <map>
 #include <memory>
@@ -215,7 +216,11 @@ class Kernel {
   void set_migration_hooks(MigrationHooks hooks) { hooks_ = std::move(hooks); }
   // First pid this kernel hands out. The cluster gives each machine a distinct
   // range so cross-host pid collisions don't confuse tests and dump-file names.
-  void set_pid_base(int32_t base) { next_pid_ = base; }
+  // Set before the first spawn: FindProc indexes procs_ by pid - base.
+  void set_pid_base(int32_t base) {
+    assert(procs_.empty());
+    next_pid_ = base;
+  }
   void set_program_registry(const ProgramRegistry* registry) { programs_ = registry; }
   const ProgramRegistry* program_registry() const { return programs_; }
 
@@ -236,7 +241,8 @@ class Kernel {
                           const SpawnOptions& opts);
 
   // Any process this kernel ever spawned, reaped (kDead) ones included, whose
-  // ExitInfo stays readable; null for a pid it never handed out. Proc storage
+  // ExitInfo stays readable; null for a pid it never handed out. O(1): pids
+  // are handed out one after another, so the pid indexes procs_. Proc storage
   // is never recycled, so a Proc* stays valid for the kernel's lifetime and
   // callers check Alive() (or a live state) themselves.
   Proc* FindProc(int32_t pid);
@@ -417,8 +423,16 @@ class Kernel {
   std::map<const Tty*, vfs::InodePtr> tty_nodes_;
 
   int32_t next_pid_ = 100;
+  // Owns every process ever spawned, in pid order; reaped ones stay (FindProc).
   std::vector<std::unique_ptr<Proc>> procs_;
-  size_t rr_cursor_ = 0;
+  // The processes the scheduler and wait() walk: spawn order, reaped ones
+  // dropped at the top of RunQuantum. Between compactions it may still hold
+  // kDead entries, so every walk skips them. Walks whose callees may spawn
+  // iterate by index.
+  std::vector<Proc*> live_;
+  // Round robin in spawn order: PickNext takes the first runnable process with
+  // pid >= rr_next_pid_, else the first runnable one.
+  int32_t rr_next_pid_ = 0;
   int32_t last_run_pid_ = -1;
   sim::Nanos quantum_left_ = 0;
 

@@ -52,8 +52,8 @@ Status Kernel::PostSignal(int32_t pid, int signo, Proc* sender) {
 }
 
 void Kernel::DeliverPendingSignals() {
-  for (size_t i = 0; i < procs_.size(); ++i) {
-    Proc& p = *procs_[i];
+  for (size_t i = 0; i < live_.size(); ++i) {
+    Proc& p = *live_[i];
     if (!p.Alive() || p.sig_pending == 0) continue;
     for (int signo = 1; signo < vm::abi::kNSig && p.Alive(); ++signo) {
       const uint64_t bit = uint64_t{1} << signo;

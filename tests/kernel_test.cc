@@ -811,6 +811,102 @@ TEST(KernelWait, OrphansAreAutoReaped) {
   EXPECT_EQ(c->state, ProcState::kDead);  // reaped by the kernel, not a lingering zombie
 }
 
+// Reaped processes leave every scan but stay findable: FindProc still returns
+// each one (kDead, exit status intact), ListProcs shows only the live, and
+// pids the kernel never handed out find nothing.
+TEST(KernelProc, ReapedProcsStayFindableAndLeaveTheScans) {
+  World world;
+  kernel::Kernel& k = world.host("brick");
+  auto release = std::make_shared<bool>(false);
+  const int32_t resident = k.SpawnNative("resident",
+                                         [release](SyscallApi& api) {
+                                           api.BlockUntil([release] { return *release; });
+                                           return 0;
+                                         },
+                                         UserOpts(world));
+  constexpr int kShortLived = 300;
+  std::vector<int32_t> pids;
+  for (int i = 0; i < kShortLived; ++i) {
+    const int32_t pid =
+        k.SpawnNative("short", [i](SyscallApi&) { return i % 100; }, UserOpts(world));
+    ASSERT_TRUE(world.RunUntilExited("brick", pid));
+    pids.push_back(pid);
+  }
+  for (int i = 0; i < kShortLived; ++i) {
+    const Proc* p = k.FindProc(pids[static_cast<size_t>(i)]);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->state, ProcState::kDead);
+    EXPECT_EQ(p->exit_info.exit_code, i % 100);
+  }
+  EXPECT_EQ(k.FindProc(resident - 1), nullptr);  // below the first pid handed out
+  EXPECT_EQ(k.FindProc(pids.back() + 1), nullptr);  // the next pid, not yet handed out
+  const std::vector<Proc*> live = k.ListProcs();
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0]->pid, resident);
+  *release = true;
+  ASSERT_TRUE(world.RunUntilExited("brick", resident));
+  EXPECT_TRUE(k.ListProcs().empty());
+}
+
+// wait() sees zombie and overlaid children, skips reaped ones, and reports
+// ECHILD once none is left.
+TEST(KernelWait, WaitSeesZombieOverlaidAndSkipsReapedChildren) {
+  World world;
+  kernel::Kernel& k = world.host("brick");
+  auto release = std::make_shared<bool>(false);
+  auto blocker = [release](SyscallApi& api) {
+    api.BlockUntil([release] { return *release; });
+    return 0;
+  };
+  const int32_t parent_pid = k.SpawnNative("parent", blocker, UserOpts(world));
+  ASSERT_TRUE(world.RunUntilBlocked("brick", parent_pid));
+  Proc& parent = *k.FindProc(parent_pid);
+  SpawnOptions child_opts = UserOpts(world);
+  child_opts.ppid = parent_pid;
+
+  EXPECT_TRUE(k.WaitReady(parent_pid));  // no children: wait() returns at once
+  EXPECT_EQ(k.TryWait(parent).error(), Errno::kChild);
+
+  // A zombie child is reaped once, then skipped.
+  const int32_t zombie = k.SpawnNative("zombie", [](SyscallApi&) { return 5; }, child_opts);
+  ASSERT_TRUE(world.RunUntilExited("brick", zombie));
+  EXPECT_EQ(k.FindProc(zombie)->state, ProcState::kZombie);
+  EXPECT_TRUE(k.WaitReady(parent_pid));
+  Result<WaitResult> wr = k.TryWait(parent);
+  ASSERT_TRUE(wr.ok());
+  EXPECT_EQ(wr->pid, zombie);
+  EXPECT_EQ(wr->info.exit_code, 5);
+  EXPECT_FALSE(wr->overlaid);
+  EXPECT_EQ(k.FindProc(zombie)->state, ProcState::kDead);
+  EXPECT_EQ(k.TryWait(parent).error(), Errno::kChild);
+
+  // A running child makes wait() block; once overlaid it completes the wait
+  // and leaves the parent's children.
+  const int32_t running = k.SpawnNative("running", blocker, child_opts);
+  ASSERT_TRUE(world.RunUntilBlocked("brick", running));
+  EXPECT_FALSE(k.WaitReady(parent_pid));
+  EXPECT_EQ(k.TryWait(parent).error(), Errno::kAgain);
+  k.FindProc(running)->overlaid = true;
+  EXPECT_TRUE(k.WaitReady(parent_pid));
+  wr = k.TryWait(parent);
+  ASSERT_TRUE(wr.ok());
+  EXPECT_EQ(wr->pid, running);
+  EXPECT_TRUE(wr->overlaid);
+  EXPECT_EQ(k.FindProc(running)->ppid, 0);
+  EXPECT_TRUE(k.FindProc(running)->Alive());
+  EXPECT_TRUE(k.WaitReady(parent_pid));
+  EXPECT_EQ(k.TryWait(parent).error(), Errno::kChild);
+
+  // A later zombie is found past the reaped one.
+  const int32_t second = k.SpawnNative("zombie2", [](SyscallApi&) { return 6; }, child_opts);
+  ASSERT_TRUE(world.RunUntilExited("brick", second));
+  wr = k.TryWait(parent);
+  ASSERT_TRUE(wr.ok());
+  EXPECT_EQ(wr->pid, second);
+  EXPECT_EQ(wr->info.exit_code, 6);
+  *release = true;
+}
+
 TEST(KernelVm, ForkReturnsTwiceWithSharedFiles) {
   World world;
   // forkwait: parent waits; child blocks reading the tty, then exits 7.
@@ -862,6 +958,38 @@ TEST(KernelSched, RoundRobinSharesCpu) {
   EXPECT_GT(ratio, 0.8);
   EXPECT_LT(ratio, 1.25);
   EXPECT_GT(k.stats().context_switches, 10);
+}
+
+// Round robin runs in spawn order and moves past the last pick; after the most
+// recently spawned process it wraps to the start. A process spawned right
+// after that wrap therefore waits for a full round.
+TEST(KernelSched, RoundRobinWrapsBeforeALaterSpawn) {
+  World world;
+  kernel::Kernel& k = world.host("brick");
+  std::vector<int32_t> hogs;
+  for (int i = 0; i < 3; ++i) hogs.push_back(world.StartVm("brick", "/bin/hog", {"hog", "400000"}));
+  // The pid that ran in one quantum: the one whose CPU time moved.
+  auto step = [&] {
+    std::vector<sim::Nanos> before;
+    for (int32_t pid : hogs) before.push_back(k.FindProc(pid)->utime + k.FindProc(pid)->stime);
+    world.cluster().RunFor(world.cluster().costs().quantum);
+    int32_t ran = -1;
+    for (size_t i = 0; i < hogs.size(); ++i) {
+      const Proc* p = k.FindProc(hogs[i]);
+      if (p->utime + p->stime != before[i]) {
+        EXPECT_EQ(ran, -1) << "two processes ran in one quantum";
+        ran = hogs[i];
+      }
+    }
+    return ran;
+  };
+  EXPECT_EQ(step(), hogs[0]);
+  EXPECT_EQ(step(), hogs[1]);
+  EXPECT_EQ(step(), hogs[2]);  // the most recently spawned: the cursor wraps
+  hogs.push_back(world.StartVm("brick", "/bin/hog", {"hog", "400000"}));
+  std::vector<int32_t> order;
+  for (int i = 0; i < 6; ++i) order.push_back(step());
+  EXPECT_EQ(order, (std::vector<int32_t>{hogs[0], hogs[1], hogs[2], hogs[3], hogs[0], hogs[1]}));
 }
 
 TEST(KernelSched, SetReUidRules) {
