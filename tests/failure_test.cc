@@ -51,6 +51,63 @@ TEST(HostFailure, NfsToDownedHostFailsFast) {
   EXPECT_EQ(*err, Errno::kHostUnreach);
 }
 
+// Runs `body` on brick as the test user with /u/user on schooner, blocks it at
+// `gate` until schooner is down, and brings schooner back once it exits.
+// Returns its exit code.
+int RunAcrossServerCrash(World& world, const std::shared_ptr<bool>& gate,
+                         kernel::NativeTask::Entry body) {
+  kernel::SpawnOptions opts;
+  opts.creds = {kUserUid, 10, kUserUid, 10};
+  opts.cwd = "/u/user";
+  const int32_t pid = world.host("brick").SpawnNative("nfs-io", std::move(body), opts);
+  EXPECT_TRUE(world.RunUntilBlocked("brick", pid));
+  world.cluster().SetHostDown("schooner", true);
+  *gate = true;
+  EXPECT_TRUE(world.RunUntilExited("brick", pid));
+  world.cluster().SetHostDown("schooner", false);
+  return world.ExitInfoOf("brick", pid).exit_code;
+}
+
+// An fd opened before its file server went down reaches nothing: write() fails
+// as a path walk would, and the server's disk is unchanged once it is back.
+TEST(HostFailure, WriteThroughOpenFdToDownedServerIsUnreachable) {
+  test::WorldOptions options;
+  options.file_server_home = true;  // /u/user -> /n/schooner/u2/user
+  World world(options);
+  auto gate = std::make_shared<bool>(false);
+  auto err = std::make_shared<Errno>(Errno::kOk);
+  const int code = RunAcrossServerCrash(world, gate, [gate, err](SyscallApi& api) {
+    const Result<int> fd = api.Creat("/u/user/f.txt", 0644);
+    if (!fd.ok() || !api.Write(*fd, "before").ok()) return 1;
+    api.BlockUntil([gate] { return *gate; });
+    *err = api.Write(*fd, "hello").error();
+    return 0;
+  });
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(*err, Errno::kHostUnreach);
+  EXPECT_EQ(world.FileContents("schooner", "/u2/user/f.txt"), "before");
+}
+
+// read() through such an fd fails the same way instead of reading a silent EOF.
+TEST(HostFailure, ReadThroughOpenFdToDownedServerIsUnreachable) {
+  test::WorldOptions options;
+  options.file_server_home = true;
+  World world(options);
+  auto gate = std::make_shared<bool>(false);
+  auto err = std::make_shared<Errno>(Errno::kOk);
+  const int code = RunAcrossServerCrash(world, gate, [gate, err](SyscallApi& api) {
+    if (!api.WriteFile("/u/user/f.txt", "before", 0644).ok()) return 1;
+    const Result<int> fd = api.Open("/u/user/f.txt", vm::abi::kORdOnly);
+    if (!fd.ok()) return 2;
+    api.BlockUntil([gate] { return *gate; });
+    *err = api.Read(*fd, 64).error();
+    return 0;
+  });
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(*err, Errno::kHostUnreach);
+  EXPECT_EQ(world.FileContents("schooner", "/u2/user/f.txt"), "before");
+}
+
 TEST(HostFailure, RshAndDaemonToDownedHostUnreachable) {
   test::WorldOptions options;
   options.daemons = true;
