@@ -1,8 +1,8 @@
 #!/bin/sh
 # The full verification pipeline, one command: tier-1 build (warnings are
-# errors) + ctest, a Release -Werror compile, the ASan and UBSan builds +
-# ctest, the fig4 phase-drift gate, the bench_all baseline comparison and the
-# remaining bench gates. Run from the repository root.
+# errors) + ctest, Release and perfbench -Werror compiles, the ASan and UBSan
+# builds + ctest, the fig4 phase-drift gate, the bench_all baseline comparison
+# and the remaining bench gates. Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -19,6 +19,12 @@ echo "== Release build (compile only) =="
 # flow-sensitive warnings (-Wrestrict, -Wmaybe-uninitialized) see more with it.
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-release -j
+
+echo "== perfbench build (compile only) =="
+# The repository benchmark builds src/ on its own: a src/ change can break it
+# while tier-1 and bench_all stay green.
+cmake -S perfbench -B build-perfbench -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+cmake --build build-perfbench -j
 
 echo "== ASan build =="
 cmake -B build-asan -S . -DPMIG_SANITIZE=address >/dev/null
